@@ -16,38 +16,35 @@ Modules:
     cli          the `mimo-ee` command-line tool
 """
 
-from .asymptotics import (ComparisonPoint, Thresholds, TrajectoryPoint,
-                          TrajectorySpec, mrc_upper_bound_check, thresholds,
-                          trajectory_limit, trajectory_point, trajectory_zeta,
-                          zf_vs_mrc_compare)
+from .asymptotics import (Thresholds, TrajectoryPoint, TrajectorySpec,
+                          mrc_upper_bound_check, thresholds, trajectory_limit,
+                          trajectory_point, trajectory_zeta)
 from .efficiency import (EfficiencyRangeError, EfficiencyReport,
-                         evaluate_efficiency, pa_power_fraction)
-from .integer_opt import Optimum, TracePoint, optimal_pair_trace, optimize_exact
+                         evaluate_efficiency)
+from .integer_opt import Optimum, optimize_exact
 from .link import (AntennaConfig, Detector, InfeasibleError, gamma_required,
                    is_feasible, rate_achieved)
 from .montecarlo import (McConfig, McResult, bound_gap_sweep, channel_matrix,
                          simulate)
 from .relaxation import (RelaxedOptimum, SolverDiag, min_pa_antenna_power,
                          minimize_relaxed, optimal_m, reduced_power)
-from .report import (SweepSpec, run_sweep, run_validation, sweep_records,
-                     trajectory_records, validation_records)
+from .report import (SweepSpec, sweep_records, trajectory_records,
+                     validation_records)
 from .units import (PhysicalParams, PowerProfile, SystemParams,
                     denormalize_efficiency, normalize, profile_of)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "ComparisonPoint", "Detector", "EfficiencyRangeError",
-    "EfficiencyReport", "InfeasibleError", "McConfig", "McResult", "Optimum",
-    "PhysicalParams", "PowerProfile", "RelaxedOptimum", "SolverDiag",
-    "SweepSpec", "SystemParams", "Thresholds", "TracePoint",
-    "TrajectoryPoint", "TrajectorySpec", "bound_gap_sweep", "channel_matrix",
-    "denormalize_efficiency", "evaluate_efficiency", "gamma_required",
-    "is_feasible", "min_pa_antenna_power", "minimize_relaxed",
-    "mrc_upper_bound_check", "normalize", "optimal_m", "optimal_pair_trace",
-    "optimize_exact", "pa_power_fraction", "profile_of", "rate_achieved",
-    "reduced_power", "run_sweep", "run_validation", "simulate",
-    "sweep_records", "thresholds", "trajectory_limit", "trajectory_point",
+    "AntennaConfig", "Detector", "EfficiencyRangeError", "EfficiencyReport",
+    "InfeasibleError", "McConfig", "McResult", "Optimum", "PhysicalParams",
+    "PowerProfile", "RelaxedOptimum", "SolverDiag", "SweepSpec",
+    "SystemParams", "Thresholds", "TrajectoryPoint", "TrajectorySpec",
+    "bound_gap_sweep", "channel_matrix", "denormalize_efficiency",
+    "evaluate_efficiency", "gamma_required", "is_feasible",
+    "min_pa_antenna_power", "minimize_relaxed", "mrc_upper_bound_check",
+    "normalize", "optimal_m", "optimize_exact", "profile_of",
+    "rate_achieved", "reduced_power", "simulate", "sweep_records",
+    "thresholds", "trajectory_limit", "trajectory_point",
     "trajectory_records", "trajectory_zeta", "validation_records",
-    "zf_vs_mrc_compare",
 ]

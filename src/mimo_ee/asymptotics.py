@@ -4,16 +4,14 @@ Growing the rate target along the trajectory K = R/c with the matching
 closed-form antenna count keeps the per-user spectral efficiency pinned
 at c. The resulting efficiency has a simple closed form in R whose limit
 is finite, which explains the saturation seen in exact-optimizer sweeps.
-The module also provides the analytic cap on the relaxed MRC efficiency
-(valid beyond explicit rate thresholds) and an empirical per-rate
-comparison of the two detector relaxations.
+The module also provides the analytic cap on the relaxed MRC efficiency,
+valid beyond explicit rate thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .efficiency import evaluate_efficiency
 from .link import AntennaConfig, Detector, exp2_sat
@@ -49,16 +47,6 @@ class Thresholds:
 
     r1: float
     r2: float
-
-
-@dataclass(frozen=True)
-class ComparisonPoint:
-    """Relaxed efficiencies of both detectors at one rate target."""
-
-    R: float
-    zeta_mrc: float
-    zeta_zf: float
-    mrc_less: bool
 
 
 def trajectory_zeta(spec: TrajectorySpec, R: float) -> float:
@@ -135,17 +123,3 @@ def mrc_upper_bound_check(theta: SystemParams) -> bool:
     cap = 1.0 / min(1.0 / zeta_zf,
                     theta.rho_d + theta.rho_r / theta.R + theta.rho_s / theta.R)
     return zeta_mrc < cap
-
-
-def zf_vs_mrc_compare(rates: Iterable[float],
-                      profile: PowerProfile) -> Sequence[ComparisonPoint]:
-    """Relaxed MRC vs ZF efficiency across rate targets, ordered as given."""
-    out = []
-    for rate in rates:
-        theta = profile.at_rate(float(rate))
-        zeta_mrc = minimize_relaxed(theta, Detector.MRC).zeta
-        zeta_zf = minimize_relaxed(theta, Detector.ZF).zeta
-        out.append(ComparisonPoint(R=float(rate), zeta_mrc=zeta_mrc,
-                                   zeta_zf=zeta_zf,
-                                   mrc_less=zeta_mrc < zeta_zf))
-    return out

@@ -184,7 +184,7 @@ def _sweep_spec(cfg: dict, args: argparse.Namespace,
 def _cmd_sweep(cfg: dict, args: argparse.Namespace,
                outputs_override: set[str] | None = None):
     spec = _sweep_spec(cfg, args, outputs_override)
-    return sweep_records(spec, threads=args.threads), sweep_columns(spec), 0
+    return sweep_records(spec), sweep_columns(spec), 0
 
 
 def _cmd_breakdown(cfg: dict, args: argparse.Namespace):
@@ -203,7 +203,7 @@ def _cmd_optimize(cfg: dict, args: argparse.Namespace):
             k_max=args.k_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = sweep_records(spec, threads=args.threads)
+    records = sweep_records(spec)
     failures = [str(row[ERROR_COLUMN]) for row in records if row[ERROR_COLUMN]]
     rc = 0
     if failures:
@@ -315,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
     common.add_argument("--threads", type=_positive_int, default=1,
-                        metavar="N", help="worker threads (default: 1)")
+                        metavar="N",
+                        help="Monte-Carlo worker threads for validate; "
+                             "other subcommands ignore it (default: 1)")
     common.add_argument("--seed", type=_seed_int, default=None, metavar="U64",
                         help="override the Monte-Carlo seed from the config")
     common.add_argument("--k-max", type=_positive_int, default=None,

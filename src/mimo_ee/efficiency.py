@@ -60,9 +60,3 @@ def evaluate_efficiency(cfg: AntennaConfig, theta: SystemParams,
                             power_user_circuits=power_users,
                             power_residual=power_residual,
                             pa_fraction=power_pa / total)
-
-
-def pa_power_fraction(cfg: AntennaConfig, theta: SystemParams,
-                      det: Detector) -> float:
-    """Share of the total power burned in the user terminals' PAs."""
-    return evaluate_efficiency(cfg, theta, det).pa_fraction

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .efficiency import EfficiencyReport, evaluate_efficiency
 from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
-from .relaxation import minimize_relaxed, optimal_m
-from .units import SystemParams, profile_of
+from .relaxation import optimal_m
+from .units import SystemParams
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,6 @@ class Optimum:
     def objective(self) -> float:
         """Total normalized power at the optimum, i.e. R / zeta_star."""
         return self.report.total_power
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    """Best design at one rate target, with the relaxed efficiency beside it."""
-
-    R: float
-    m_star: int
-    k_star: int
-    zeta_star: float
-    zeta_relaxed: float
-    ratio: float          # zeta_star / zeta_relaxed, at most 1 up to roundoff
 
 
 def _min_feasible_m(k: int, rate: float, det: Detector) -> int | None:
@@ -145,24 +133,3 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det,
                    k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)
-
-
-def optimal_pair_trace(rates, theta_base: SystemParams, det: Detector, *,
-                       k_max: int | None = None) -> list[TracePoint]:
-    """Exact optimizer across rate targets, with the relaxation ratio per point.
-
-    The ratio column tracks how tight the continuous relaxation is; it
-    approaches 1 as the rate target grows.
-    """
-    profile = profile_of(theta_base)
-    out = []
-    for rate in rates:
-        theta = profile.at_rate(float(rate))
-        opt = optimize_exact(theta, det, k_max=k_max)
-        relaxed = minimize_relaxed(
-            theta, det, k_max=None if k_max is None else float(k_max))
-        out.append(TracePoint(R=float(rate), m_star=opt.m_star,
-                              k_star=opt.k_star, zeta_star=opt.zeta_star,
-                              zeta_relaxed=relaxed.zeta,
-                              ratio=opt.zeta_star / relaxed.zeta))
-    return out

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -111,12 +110,28 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
     theta = spec.theta_base.at_rate(rate)
     need_exact = not spec.outputs.isdisjoint({"exact", "pa_fraction"})
 
+    solved: dict[tuple[Detector, int | None], object] = {}
+
+    def relaxed_solve(det: Detector, k_max: int | None):
+        """minimize_relaxed once per (detector, cap); a failure is replayed."""
+        key = (det, k_max)
+        if key not in solved:
+            try:
+                solved[key] = minimize_relaxed(theta, det, k_max=k_max)
+            except _ROW_ERRORS as exc:
+                solved[key] = exc
+        if isinstance(solved[key], Exception):
+            raise solved[key]
+        return solved[key]
+
     comparison = None
     comparison_err: Exception | None = None
     if "comparison" in spec.outputs:
+        # uncapped on purpose: with k_max unset these solves are the
+        # relaxed column's too
         try:
-            comparison = (minimize_relaxed(theta, Detector.MRC).zeta
-                          < minimize_relaxed(theta, Detector.ZF).zeta)
+            comparison = (relaxed_solve(Detector.MRC, None).zeta
+                          < relaxed_solve(Detector.ZF, None).zeta)
         except _ROW_ERRORS as exc:
             comparison_err = exc
 
@@ -147,7 +162,7 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
         relaxed = None
         if "relaxed" in spec.outputs:
             try:
-                relaxed = minimize_relaxed(theta, det, k_max=spec.k_max)
+                relaxed = relaxed_solve(det, spec.k_max)
                 row["zeta_relaxed"] = relaxed.zeta
             except _ROW_ERRORS as exc:
                 _note(errors, exc, "relaxed")
@@ -174,16 +189,9 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def sweep_records(spec: SweepSpec, *, threads: int = 1) -> list[dict]:
+def sweep_records(spec: SweepSpec) -> list[dict]:
     """One record per (R, detector), in sweep order, errors annotated."""
-    if threads <= 1:
-        chunks = [_rows_for_rate(r, spec) for r in spec.r_values]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_rows_for_rate, r, spec)
-                       for r in spec.r_values]
-            chunks = [f.result() for f in futures]
-    return [row for chunk in chunks for row in chunk]
+    return [row for r in spec.r_values for row in _rows_for_rate(r, spec)]
 
 
 def validation_records(configs: Sequence[McConfig], *,
@@ -277,14 +285,3 @@ def render_json(records: Sequence[dict], columns: Sequence[str]) -> str:
     rows = [{col: _json_cell(row.get(col)) for col in columns}
             for row in records]
     return json.dumps(rows, indent=2) + "\n"
-
-
-def run_sweep(spec: SweepSpec, *, threads: int = 1) -> str:
-    """Rate sweep straight to CSV text."""
-    return render_csv(sweep_records(spec, threads=threads), sweep_columns(spec))
-
-
-def run_validation(configs: Sequence[McConfig], *, threads: int = 1) -> str:
-    """Monte-Carlo validation table straight to CSV text."""
-    return render_csv(validation_records(configs, threads=threads),
-                      VALIDATION_COLUMNS)

@@ -20,6 +20,14 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _require_profile(p: "PowerProfile | SystemParams") -> None:
+    """The PA slope and circuit-power checks both parameter types share."""
+    if not (math.isfinite(p.alpha) and p.alpha > 1):
+        raise ValueError(f"alpha must be finite and > 1, got {p.alpha!r}")
+    for name in ("rho_r", "rho_d", "rho_s"):
+        _require_nonnegative(name, getattr(p, name))
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Raw hardware and propagation parameters of the uplink."""
@@ -60,10 +68,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         _require_positive("R", self.R)
-        if not (math.isfinite(self.alpha) and self.alpha > 1):
-            raise ValueError(f"alpha must be finite and > 1, got {self.alpha!r}")
-        for name in ("rho_r", "rho_d", "rho_s"):
-            _require_nonnegative(name, getattr(self, name))
+        _require_profile(self)
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,7 @@ class PowerProfile:
     rho_s: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 1):
-            raise ValueError(f"alpha must be finite and > 1, got {self.alpha!r}")
-        for name in ("rho_r", "rho_d", "rho_s"):
-            _require_nonnegative(name, getattr(self, name))
+        _require_profile(self)
 
     def at_rate(self, rate: float) -> SystemParams:
         return SystemParams(R=float(rate), alpha=self.alpha, rho_r=self.rho_r,

@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 from mimo_ee.asymptotics import (TrajectorySpec,
                                  mrc_upper_bound_check, thresholds,
                                  trajectory_limit, trajectory_point,
-                                 trajectory_zeta, zf_vs_mrc_compare)
+                                 trajectory_zeta)
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, is_feasible
 from mimo_ee.relaxation import minimize_relaxed
+from mimo_ee.report import SweepSpec, sweep_records
 from mimo_ee.units import PowerProfile, SystemParams
 
 MRC = Detector.MRC
@@ -154,26 +155,35 @@ class TestMrcUpperBound:
                 R=5.0, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0))
 
 
+def _relaxed_zetas(rate, profile):
+    theta = profile.at_rate(rate)
+    return (minimize_relaxed(theta, MRC).zeta,
+            minimize_relaxed(theta, Detector.ZF).zeta)
+
+
 class TestDetectorComparison:
     def test_order_and_consistency(self):
-        rates = [0.5, 2.0, 20.0, 200.0]
-        pts = zf_vs_mrc_compare(rates, _profile())
-        assert [p.R for p in pts] == rates
-        for p in pts:
-            assert p.zeta_mrc > 0 and p.zeta_zf > 0
-            assert p.mrc_less == (p.zeta_mrc < p.zeta_zf)
+        rates = (0.5, 2.0, 20.0, 200.0)
+        rows = sweep_records(SweepSpec(
+            r_values=rates, theta_base=_profile(), detectors=(MRC,),
+            outputs=frozenset({"comparison"})))
+        assert tuple(r["R"] for r in rows) == rates
+        for r in rows:
+            zeta_mrc, zeta_zf = _relaxed_zetas(r["R"], _profile())
+            assert zeta_mrc > 0 and zeta_zf > 0
+            assert r["relaxed_mrc_less_than_zf"] == (zeta_mrc < zeta_zf)
 
     def test_interference_suppression_wins_at_high_rate(self):
-        (pt,) = zf_vs_mrc_compare([200.0], _profile())
-        assert pt.mrc_less
+        zeta_mrc, zeta_zf = _relaxed_zetas(200.0, _profile())
+        assert zeta_mrc < zeta_zf
 
     def test_sub_bit_per_user_rates_favor_mrc(self):
         # below one bit per user the required SNR gap reverses, so the
         # relaxed MRC design needs no more power than the ZF one
-        (pt,) = zf_vs_mrc_compare([0.5], _profile())
-        assert not pt.mrc_less
+        zeta_mrc, zeta_zf = _relaxed_zetas(0.5, _profile())
+        assert not zeta_mrc < zeta_zf
 
     def test_detectors_coincide_when_one_user_is_optimal(self):
-        (pt,) = zf_vs_mrc_compare([3.0], _profile(rho_d=1e8))
-        assert pt.zeta_mrc == pytest.approx(pt.zeta_zf, rel=1e-9)
-        assert not pt.mrc_less or pt.zeta_zf == pt.zeta_mrc
+        zeta_mrc, zeta_zf = _relaxed_zetas(3.0, _profile(rho_d=1e8))
+        assert zeta_mrc == pytest.approx(zeta_zf, rel=1e-9)
+        assert not zeta_mrc < zeta_zf

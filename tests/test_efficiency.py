@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimo_ee.efficiency import (EfficiencyRangeError, evaluate_efficiency,
-                                pa_power_fraction)
+from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, InfeasibleError
 from mimo_ee.units import SystemParams
 
@@ -101,17 +100,20 @@ class TestInvariants:
             evaluate_efficiency(cfg, theta, MRC).zeta
 
 
+def _pa_fraction(cfg, theta):
+    return evaluate_efficiency(cfg, theta, MRC).pa_fraction
+
+
 class TestPaFraction:
     def test_equals_report_field(self):
-        cfg, theta = AntennaConfig(M=8, K=2), _theta()
-        assert pa_power_fraction(cfg, theta, MRC) == \
-            evaluate_efficiency(cfg, theta, MRC).pa_fraction
+        rep = evaluate_efficiency(AntennaConfig(M=8, K=2), _theta(), MRC)
+        assert rep.pa_fraction == rep.power_pa / rep.total_power
 
     def test_only_pa_power_gives_one(self):
         theta = _theta(R=2.0, rho_r=0.0, rho_d=0.0, rho_s=0.0)
-        assert pa_power_fraction(AntennaConfig(M=4, K=1), theta, MRC) == 1.0
+        assert _pa_fraction(AntennaConfig(M=4, K=1), theta) == 1.0
 
     def test_doubling_residual_power_shrinks_fraction(self):
-        a = pa_power_fraction(AntennaConfig(M=8, K=2), _theta(rho_s=1.0), MRC)
-        b = pa_power_fraction(AntennaConfig(M=8, K=2), _theta(rho_s=2.0), MRC)
+        a = _pa_fraction(AntennaConfig(M=8, K=2), _theta(rho_s=1.0))
+        b = _pa_fraction(AntennaConfig(M=8, K=2), _theta(rho_s=2.0))
         assert b < a

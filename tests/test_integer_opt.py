@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.integer_opt import (_best_m_for_k, _min_feasible_m,
-                                 optimal_pair_trace, optimize_exact)
+from mimo_ee.integer_opt import _best_m_for_k, _min_feasible_m, optimize_exact
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
-from mimo_ee.units import SystemParams
+from mimo_ee.report import SweepSpec, sweep_records
+from mimo_ee.units import PowerProfile, SystemParams
 
 MRC, ZF = Detector.MRC, Detector.ZF
 
@@ -108,27 +108,32 @@ class TestAgainstBruteForce:
 
 class TestRateScaling:
     def test_growing_rate_targets(self):
-        theta_base = _theta(R=100.0, alpha=2.0, rho_r=1e3, rho_d=1e3,
-                            rho_s=1e3)
-        trace = optimal_pair_trace([100.0, 300.0, 1000.0], theta_base, MRC)
-        assert [(p.m_star, p.k_star) for p in trace] == \
+        spec = SweepSpec(r_values=(100.0, 300.0, 1000.0),
+                         theta_base=PowerProfile(alpha=2.0, rho_r=1e3,
+                                                 rho_d=1e3, rho_s=1e3),
+                         detectors=(MRC,))
+        rows = sweep_records(spec)
+        assert [(r["M_star"], r["K_star"]) for r in rows] == \
             [(120, 68), (359, 207), (1193, 692)]
-        zetas = [p.zeta_star for p in trace]
+        zetas = [r["zeta_star"] for r in rows]
         assert zetas == sorted(zetas)
-        for p in trace:
-            assert 0.999 < p.ratio <= 1.0 + 1e-12
-        ratios = [p.ratio for p in trace]
+        for r in rows:
+            assert 0.999 < r["ratio"] <= 1.0 + 1e-12
+        ratios = [r["ratio"] for r in rows]
         assert ratios == sorted(ratios)
 
-    def test_trace_point_matches_direct_calls(self):
+    def test_sweep_row_matches_direct_calls(self):
         theta = _theta(R=40.0)
-        (point,) = optimal_pair_trace([40.0], theta, ZF)
+        (row,) = sweep_records(SweepSpec(
+            r_values=(40.0,), theta_base=PowerProfile(
+                alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+            detectors=(ZF,)))
         opt = optimize_exact(theta, ZF)
         relaxed = minimize_relaxed(theta, ZF)
-        assert (point.m_star, point.k_star) == (opt.m_star, opt.k_star)
-        assert point.zeta_star == opt.zeta_star
-        assert point.zeta_relaxed == relaxed.zeta
-        assert point.ratio == opt.zeta_star / relaxed.zeta
+        assert (row["M_star"], row["K_star"]) == (opt.m_star, opt.k_star)
+        assert row["zeta_star"] == opt.zeta_star
+        assert row["zeta_relaxed"] == relaxed.zeta
+        assert row["ratio"] == opt.zeta_star / relaxed.zeta
 
 
 class TestRelaxationDominates:

@@ -73,10 +73,6 @@ class TestSweepRecords:
         assert [(r["R"], r["detector"]) for r in records] == \
             [(4.0, MRC), (4.0, ZF), (8.0, MRC), (8.0, ZF)]
 
-    def test_threading_does_not_change_records(self):
-        spec = _spec(r_values=(2.0, 4.0, 8.0, 16.0))
-        assert sweep_records(spec, threads=3) == sweep_records(spec, threads=1)
-
     def test_unbounded_user_count_becomes_a_row_error(self):
         spec = _spec(theta_base=_profile(rho_d=0.0))
         for row in sweep_records(spec):
@@ -85,6 +81,47 @@ class TestSweepRecords:
             assert "exact: " in row["error"]
             assert "relaxed: " in row["error"]
             assert "k_max" in row["error"]
+
+    def test_error_cells_name_each_failed_stage(self):
+        theta = _profile(rho_d=0.0).at_rate(4.0)
+
+        def message(call):
+            with pytest.raises(ValueError) as exc:
+                call()
+            return str(exc.value)
+
+        exact = message(lambda: optimize_exact(theta, MRC))
+        relaxed = message(lambda: minimize_relaxed(theta, MRC))
+        outputs = frozenset({"exact", "relaxed", "comparison"})
+        for row in sweep_records(_spec(theta_base=_profile(rho_d=0.0),
+                                       outputs=outputs)):
+            assert row["error"] == (f"exact: {exact}; relaxed: {relaxed}; "
+                                    f"comparison: {relaxed}")
+        # a cap makes both optima finite; the comparison stays uncapped
+        for row in sweep_records(_spec(theta_base=_profile(rho_d=0.0),
+                                       outputs=outputs, k_max=3)):
+            assert row["zeta_relaxed"] is not None
+            assert row["error"] == f"comparison: {relaxed}"
+
+    @pytest.mark.parametrize("k_max,per_rate", [(None, 2), (3, 4)])
+    def test_relaxation_solved_once_per_detector_and_cap(
+            self, monkeypatch, k_max, per_rate):
+        calls = []
+
+        def counted(theta, det, **kwargs):
+            calls.append((theta.R, det, kwargs["k_max"]))
+            return minimize_relaxed(theta, det, **kwargs)
+
+        monkeypatch.setattr("mimo_ee.report.minimize_relaxed", counted)
+        spec = _spec(outputs=frozenset({"relaxed", "comparison"}),
+                     k_max=k_max)
+        records = sweep_records(spec)
+        assert len(calls) == per_rate * len(spec.r_values)
+        assert len(set(calls)) == len(calls)
+        for row in records:
+            theta = spec.theta_base.at_rate(row["R"])
+            assert row["zeta_relaxed"] == minimize_relaxed(
+                theta, row["detector"], k_max=k_max).zeta
 
     def test_unreachable_rate_becomes_a_row_error(self):
         spec = _spec(r_values=(2000.0,), k_max=1)
@@ -140,7 +177,7 @@ class TestRendering:
     def test_csv_is_byte_deterministic(self):
         spec = _spec()
         a = render_csv(sweep_records(spec), sweep_columns(spec))
-        b = render_csv(sweep_records(spec, threads=2), sweep_columns(spec))
+        b = render_csv(sweep_records(spec), sweep_columns(spec))
         assert a == b
 
     def test_csv_cell_formats(self):
