@@ -26,8 +26,8 @@ from .link import (AntennaConfig, Detector, InfeasibleError, gamma_required,
                    is_feasible, rate_achieved)
 from .montecarlo import (McConfig, McResult, bound_gap_sweep, channel_matrix,
                          simulate)
-from .relaxation import (RelaxedOptimum, SolverDiag, min_pa_antenna_power,
-                         minimize_relaxed, optimal_m, reduced_power)
+from .relaxation import (RelaxedOptimum, SolverDiag, minimize_relaxed,
+                         optimal_m, reduced_power)
 from .report import (SweepSpec, sweep_records, trajectory_records,
                      validation_records)
 from .units import (PhysicalParams, PowerProfile, SystemParams,
@@ -42,7 +42,7 @@ __all__ = [
     "SystemParams", "Thresholds", "TrajectoryPoint", "TrajectorySpec",
     "bound_gap_sweep", "channel_matrix", "denormalize_efficiency",
     "evaluate_efficiency", "gamma_required", "is_feasible",
-    "min_pa_antenna_power", "minimize_relaxed", "mrc_upper_bound_check",
+    "minimize_relaxed", "mrc_upper_bound_check",
     "normalize", "optimal_m", "optimize_exact", "profile_of",
     "rate_achieved", "reduced_power", "simulate", "sweep_records",
     "thresholds", "trajectory_limit", "trajectory_point",

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .efficiency import EfficiencyReport, evaluate_efficiency
+from .efficiency import (EfficiencyReport, _total_power,
+                         evaluate_efficiency)
 from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
 from .relaxation import optimal_m
 from .units import SystemParams
@@ -34,51 +35,30 @@ class Optimum:
         return self.report.total_power
 
 
-def _min_feasible_m(k: int, rate: float, det: Detector) -> int | None:
-    """Smallest M admitting finite transmit power at integer K = k, if any."""
-    if det is Detector.ZF:
-        return k + 1
-    if k == 1:
-        return 2
-    # MRC needs M - 1 strictly above (K-1)*(2^(R/K) - 1). When the rate
-    # splits into an integer number of bits per user the boundary is exact
-    # in integer arithmetic, so the strictness test has no rounding slack.
-    if rate == int(rate) and int(rate) % k == 0:
-        boundary = (k - 1) * (2 ** (int(rate) // k) - 1)
-        return int(boundary) + 2
-    boundary = (k - 1) * (2.0 ** (rate / k) - 1.0)
-    if not math.isfinite(boundary):
-        return None  # every float-representable M is below the threshold
-    m = int(math.floor(boundary)) + 2
-    while not (m - 1 > (k - 1) * (2.0 ** (rate / k) - 1.0)):  # rounding slack
-        m += 1
-    return m
-
-
 def _best_m_for_k(k: int, theta: SystemParams,
-                  det: Detector) -> tuple[int, EfficiencyReport] | None:
-    """Optimal integer M at fixed K, or None when the rate is out of reach."""
+                  det: Detector) -> tuple[float, int]:
+    """Least total power at integer K = k and the smallest M attaining it.
+
+    The power is +inf when no M reaches the rate with finite power.
+    """
     if theta.R / k >= _EXP2_OVERFLOW:
-        return None
-    m_lo = _min_feasible_m(k, theta.R, det)
-    if m_lo is None:
-        return None
+        return math.inf, 0
+    if det is Detector.ZF:
+        m_lo = k + 1
+    else:
+        # MRC needs M - 1 > (K-1)(2^(R/K) - 1)
+        boundary = (k - 1) * (2.0 ** (theta.R / k) - 1.0)
+        if boundary == math.inf:
+            return math.inf, 0
+        m_lo = math.floor(boundary) + 2
     m_cont = optimal_m(theta, float(k), det)
     if math.isfinite(m_cont):
-        candidates = {max(m_lo, int(math.floor(m_cont))),
-                      max(m_lo, int(math.ceil(m_cont)))}
+        candidates = (max(m_lo, math.floor(m_cont)),
+                      max(m_lo, math.ceil(m_cont)))
     else:
-        candidates = {m_lo, m_lo + 1}
-    best: tuple[int, EfficiencyReport] | None = None
-    for m in sorted(candidates):
-        try:
-            report = evaluate_efficiency(
-                AntennaConfig(M=m, K=k), theta, det)
-        except (InfeasibleError, ValueError, OverflowError):
-            continue  # OverflowError: M too large for a float at this K
-        if best is None or report.total_power < best[1].total_power:
-            best = (m, report)
-    return best
+        candidates = (m_lo, m_lo + 1)
+    return min((_total_power(float(m), float(k), theta, det), m)
+               for m in candidates)
 
 
 def _tail_lower_bound(k: int, theta: SystemParams, det: Detector) -> float:
@@ -106,7 +86,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
 
-    best: tuple[int, int, EfficiencyReport] | None = None
+    power_star, m_star, k_star = math.inf, 0, 0
     pruned_at: int | None = None
     k_hi_seen = 0
     k = 1
@@ -114,22 +94,19 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     # long before this and the cap only guards against degenerate inputs
     k_ceiling = k_max if k_max is not None else 10_000_000
     while k <= k_ceiling:
-        if best is not None and _tail_lower_bound(
-                k, theta, det) >= best[2].total_power:
+        if k_star and _tail_lower_bound(k, theta, det) >= power_star:
             pruned_at = k
             break
-        found = _best_m_for_k(k, theta, det)
+        power, m = _best_m_for_k(k, theta, det)
         k_hi_seen = k
-        if found is not None:
-            m, report = found
-            if best is None or report.total_power < best[2].total_power:
-                best = (m, k, report)
+        if power < power_star:
+            power_star, m_star, k_star = power, m, k
         k += 1
 
-    if best is None:
+    if not k_star:
         raise InfeasibleError(
             "no integer design achieves the rate with finite power")
-    m_star, k_star, report = best
+    report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det,
                    k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)

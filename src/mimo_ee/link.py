@@ -53,21 +53,33 @@ class AntennaConfig:
             object.__setattr__(self, name, float(v))
 
 
-def _rate_exponent(cfg: AntennaConfig, rate: float) -> float:
-    """2^(R/K) - 1, saturating to +inf for extreme per-user rates."""
-    return exp2_sat(rate / cfg.K) - 1.0
-
-
 def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
     """Whether (M, K) can deliver sum rate `rate` with finite transmit power."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
     if det is Detector.ZF:
         return cfg.M > cfg.K
-    e = _rate_exponent(cfg, rate)
+    e = exp2_sat(rate / cfg.K) - 1.0
     # the K=1 guard avoids 0 * inf when 2^R overflows
     boundary = 0.0 if cfg.K == 1 else (cfg.K - 1.0) * e
     return cfg.M - 1.0 > boundary
+
+
+def _snr(m: float, k: float, rate: float, det: Detector) -> float:
+    """gamma_required from bare floats, without validation.
+
+    Returns +inf for both failures gamma_required reports: a rate the
+    design cannot reach, and a power beyond double range.
+    """
+    e = exp2_sat(rate / k) - 1.0
+    if det is Detector.ZF:
+        denom = m - k
+    else:
+        denom = m - 1.0 - (0.0 if k == 1 else (k - 1.0) * e)
+    if not denom > 0:
+        return math.inf
+    gamma = e / denom
+    return gamma if 0.0 < gamma < math.inf else math.inf
 
 
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
@@ -80,13 +92,8 @@ def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
         raise InfeasibleError(
             f"rate {rate} unachievable at any transmit power "
             f"for M={cfg.M}, K={cfg.K} with {det.value}")
-    e = _rate_exponent(cfg, rate)
-    if det is Detector.ZF:
-        denom = cfg.M - cfg.K
-    else:
-        denom = cfg.M - 1.0 - (0.0 if cfg.K == 1 else (cfg.K - 1.0) * e)
-    gamma = e / denom
-    if not (math.isfinite(gamma) and gamma > 0):
+    gamma = _snr(cfg.M, cfg.K, rate, det)
+    if gamma == math.inf:
         raise InfeasibleError(
             f"required transmit power overflows double range "
             f"for M={cfg.M}, K={cfg.K}, rate {rate} with {det.value}")

@@ -20,8 +20,8 @@ from .units import SystemParams
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
-DEFAULT_GRID_POINTS = 4096
-DEFAULT_REL_TOL = 1e-9
+_GRID_POINTS = 4096
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,6 @@ def _require_rho_r(theta: SystemParams) -> None:
 def _require_k(k: float) -> None:
     if not (math.isfinite(k) and k >= 1):
         raise ValueError(f"k must be finite and >= 1, got {k!r}")
-
-
-def min_pa_antenna_power(k: float, theta: SystemParams) -> float:
-    """Smallest combined PA and antenna-hardware power at user count k.
-
-    This is the AM-GM value of t*rho_r + alpha*k*(2^(R/k)-1)/t over the
-    free antenna surplus t > 0, attained at t = sqrt(alpha*k*(2^(R/k)-1)/rho_r).
-    """
-    _require_rho_r(theta)
-    _require_k(k)
-    e = exp2_sat(theta.R / k) - 1.0
-    return 2.0 * math.sqrt(theta.alpha * theta.rho_r * k * e)
 
 
 def _objective_grid(k: np.ndarray, theta: SystemParams,
@@ -104,10 +92,10 @@ def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     return 1.0 + (0.0 if k == 1 else (k - 1.0) * e) + surplus
 
 
-def _golden_refine(f, lo: float, hi: float, rel_tol: float) -> tuple[float, int]:
+def _golden_refine(f, lo: float, hi: float) -> tuple[float, int]:
     """Golden-section minimization of f on [lo, hi]; ties drift to smaller k."""
     width = hi - lo
-    tol = rel_tol * max(1.0, abs(hi))
+    tol = _REL_TOL * max(1.0, abs(hi))
     if width <= tol:
         return (lo + hi) / 2.0, 0
     steps = int(math.ceil(math.log(tol / width) / math.log(_INVPHI)))
@@ -129,9 +117,7 @@ def _golden_refine(f, lo: float, hi: float, rel_tol: float) -> tuple[float, int]
 
 
 def minimize_relaxed(theta: SystemParams, det: Detector, *,
-                     k_max: float | None = None,
-                     grid_points: int = DEFAULT_GRID_POINTS,
-                     rel_tol: float = DEFAULT_REL_TOL) -> RelaxedOptimum:
+                     k_max: float | None = None) -> RelaxedOptimum:
     """Minimize the reduced power objective over real k in [1, k_max].
 
     When k_max is not given it is derived from an incumbent evaluation:
@@ -163,7 +149,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             solver_diag=SolverDiag(grid_points=1, refine_iters=0,
                                    bracket=(1.0, 1.0)))
 
-    grid = np.geomspace(1.0, k_cap, grid_points)
+    grid = np.geomspace(1.0, k_cap, _GRID_POINTS)
     values = _objective_grid(grid, theta, det)
     best = int(np.argmin(values))  # first minimum wins, i.e. smaller k on ties
     if not math.isfinite(values[best]):
@@ -173,7 +159,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
     k_refined, iters = _golden_refine(
-        lambda k: reduced_power(k, theta, det), lo, hi, rel_tol)
+        lambda k: reduced_power(k, theta, det), lo, hi)
 
     # keep whichever of the grid point and the refined point is lower;
     # on a tie the smaller k wins for deterministic output
@@ -183,5 +169,5 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
     return RelaxedOptimum(
         k_star=k_star, m_star=optimal_m(theta, k_star, det),
         zeta=theta.R / objective, objective=objective, detector=det,
-        solver_diag=SolverDiag(grid_points=grid_points, refine_iters=iters,
+        solver_diag=SolverDiag(grid_points=_GRID_POINTS, refine_iters=iters,
                                bracket=(lo, hi)))

@@ -21,7 +21,7 @@ from .asymptotics import TrajectorySpec, trajectory_limit, trajectory_point, \
 from .integer_opt import optimize_exact
 from .link import Detector
 from .montecarlo import McConfig, bound_gap_sweep
-from .relaxation import minimize_relaxed
+from .relaxation import RelaxedOptimum, minimize_relaxed
 from .units import PowerProfile, SystemParams
 
 SWEEP_OUTPUTS = ("exact", "relaxed", "trajectory", "pa_fraction", "comparison")
@@ -110,30 +110,18 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
     theta = spec.theta_base.at_rate(rate)
     need_exact = not spec.outputs.isdisjoint({"exact", "pa_fraction"})
 
-    solved: dict[tuple[Detector, int | None], object] = {}
-
-    def relaxed_solve(det: Detector, k_max: int | None):
-        """minimize_relaxed once per (detector, cap); a failure is replayed."""
-        key = (det, k_max)
-        if key not in solved:
-            try:
-                solved[key] = minimize_relaxed(theta, det, k_max=k_max)
-            except _ROW_ERRORS as exc:
-                solved[key] = exc
-        if isinstance(solved[key], Exception):
-            raise solved[key]
-        return solved[key]
-
-    comparison = None
-    comparison_err: Exception | None = None
+    needed = set(spec.detectors) if "relaxed" in spec.outputs else set()
     if "comparison" in spec.outputs:
-        # uncapped on purpose: with k_max unset these solves are the
-        # relaxed column's too
-        try:
-            comparison = (relaxed_solve(Detector.MRC, None).zeta
-                          < relaxed_solve(Detector.ZF, None).zeta)
-        except _ROW_ERRORS as exc:
-            comparison_err = exc
+        needed = {Detector.MRC, Detector.ZF}
+    solved: dict[Detector, RelaxedOptimum] = {}
+    failed: dict[Detector, Exception] = {}
+    # MRC first, so a comparison cell names the MRC error when both fail
+    for det in (Detector.MRC, Detector.ZF):
+        if det in needed:
+            try:
+                solved[det] = minimize_relaxed(theta, det, k_max=spec.k_max)
+            except _ROW_ERRORS as exc:
+                failed[det] = exc
 
     rows = []
     for det in spec.detectors:
@@ -159,15 +147,13 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
         if exact is not None and "pa_fraction" in spec.outputs:
             row["pa_fraction"] = exact.report.pa_fraction
 
-        relaxed = None
         if "relaxed" in spec.outputs:
-            try:
-                relaxed = relaxed_solve(det, spec.k_max)
-                row["zeta_relaxed"] = relaxed.zeta
-            except _ROW_ERRORS as exc:
-                _note(errors, exc, "relaxed")
-        if exact is not None and relaxed is not None and "exact" in spec.outputs:
-            row["ratio"] = exact.zeta_star / relaxed.zeta
+            if det in failed:
+                _note(errors, failed[det], "relaxed")
+            else:
+                row["zeta_relaxed"] = solved[det].zeta
+                if exact is not None and "exact" in spec.outputs:
+                    row["ratio"] = exact.zeta_star / solved[det].zeta
 
         if "trajectory" in spec.outputs and det is Detector.MRC:
             tspec = TrajectorySpec(c=spec.trajectory_c, profile=spec.theta_base)
@@ -179,10 +165,11 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
                     "trajectory")
 
         if "comparison" in spec.outputs:
-            if comparison_err is not None:
-                _note(errors, comparison_err, "comparison")
+            if failed:
+                _note(errors, next(iter(failed.values())), "comparison")
             else:
-                row[COMPARISON_COLUMN] = comparison
+                row[COMPARISON_COLUMN] = (solved[Detector.MRC].zeta
+                                          < solved[Detector.ZF].zeta)
 
         row[ERROR_COLUMN] = "; ".join(errors) if errors else None
         rows.append(row)

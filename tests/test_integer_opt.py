@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.integer_opt import _best_m_for_k, _min_feasible_m, optimize_exact
+from mimo_ee.integer_opt import _best_m_for_k, optimize_exact
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -96,14 +96,13 @@ class TestAgainstBruteForce:
                 rho_d=float(10.0 ** rng.uniform(-2, 2)),
                 rho_s=float(10.0 ** rng.uniform(-2, 2)))
             det = MRC if rng.integers(2) == 0 else ZF
-            picked = _best_m_for_k(k, theta, det)
-            assert picked is not None
-            m_lo = _min_feasible_m(k, theta.R, det)
+            power, m = _best_m_for_k(k, theta, det)
+            assert math.isfinite(power)
             m_cont = optimal_m(theta, float(k), det)
-            m_hi = max(int(math.ceil(4.0 * m_cont)), m_lo + 50)
-            mm = np.arange(float(m_lo), float(m_hi + 1))
+            m_hi = max(int(math.ceil(4.0 * m_cont)), m + 50)
+            mm = np.arange(1.0, float(m_hi + 1))
             scan_min = float(np.min(_power_over_m(theta, det, k, mm)))
-            assert picked[1].total_power == pytest.approx(scan_min, rel=1e-15)
+            assert power == pytest.approx(scan_min, rel=1e-15)
 
 
 class TestRateScaling:
@@ -164,6 +163,18 @@ class TestInvariances:
             AntennaConfig(M=got.m_star, K=got.k_star), _theta(R=60.0), MRC)
         assert direct.zeta == got.zeta_star
 
+    def test_one_report_per_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate_efficiency(*args, **kwargs)
+
+        monkeypatch.setattr("mimo_ee.integer_opt.evaluate_efficiency", counted)
+        got = optimize_exact(_theta(R=60.0), MRC)
+        assert len(calls) == 1
+        assert calls[0][0] == AntennaConfig(M=got.m_star, K=got.k_star)
+
     def test_search_metadata(self):
         got = optimize_exact(_theta(R=60.0), MRC)
         assert got.pruned_at is not None
@@ -199,8 +210,67 @@ class TestErrors:
     def test_min_feasible_m_exact_integer_boundary(self):
         # R = 12, K = 3: four bits per user, boundary 2*(2^4-1) = 30, so
         # the smallest workable M is 32 and M = 31 sits exactly on the
-        # infeasible boundary
-        assert _min_feasible_m(3, 12.0, MRC) == 32
+        # infeasible boundary; costly antennas push the search onto it
+        theta = _theta(R=12.0, rho_r=1e6)
+        assert _best_m_for_k(3, theta, MRC)[1] == 32
         assert not is_feasible(AntennaConfig(M=31, K=3), 12.0, MRC)
         assert is_feasible(AntennaConfig(M=32, K=3), 12.0, MRC)
-        assert _min_feasible_m(3, 12.0, ZF) == 4
+        assert _best_m_for_k(3, theta, ZF)[1] == 4
+
+
+# (R, alpha, rho_r, rho_d, rho_s), detector, k_max ->
+#     (M*, K*, zeta*, k_range_searched, pruned_at); frozen, so any
+#     rework of the search must reproduce every field bit for bit
+FROZEN_OPTIMA = (
+    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 82), 83)),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 23), 24)),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 10), 11)),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 6), 7)),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 38), 39)),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 19), 20)),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 258), 259)),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 59), 60)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 33), 34)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 19), 20)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 119), 120)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 50), 51)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 970), 971)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 172), 173)),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 129), 130)),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 64), 65)),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 447), 448)),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 147), 148)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 5819), 5820)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 747), 748)),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 793), 794)),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 327), 328)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 2670), 2671)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 656), 657)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (1, 40), None)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, 300, (1083, 300, 1.3838225313878523, (1, 300), None)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, 2, (1152921510487973120, 2, 1.040834074967362e-15, (1, 2), None)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, 9, (756, 9, 0.1550343681783867, (1, 9), None)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (1, 1000), None)),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None)),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None)),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 35), 36)),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None)),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None)),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None)),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None)),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (1, 700), None)),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 981), 982)),
+)
+
+
+class TestFrozenOptima:
+    def test_every_field_matches(self):
+        for (R, alpha, rho_r, rho_d, rho_s), det, k_max, want in FROZEN_OPTIMA:
+            got = optimize_exact(_theta(R=R, alpha=alpha, rho_r=rho_r,
+                                        rho_d=rho_d, rho_s=rho_s),
+                                 det, k_max=k_max)
+            assert (got.m_star, got.k_star, got.zeta_star,
+                    got.k_range_searched, got.pruned_at) == want, \
+                (R, alpha, rho_r, rho_d, rho_s, det, k_max)

@@ -9,8 +9,7 @@ from scipy import optimize
 
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, InfeasibleError, is_feasible
-from mimo_ee.relaxation import (min_pa_antenna_power, minimize_relaxed,
-                                optimal_m, reduced_power)
+from mimo_ee.relaxation import minimize_relaxed, optimal_m, reduced_power
 from mimo_ee.units import SystemParams
 
 MRC, ZF = Detector.MRC, Detector.ZF
@@ -21,45 +20,55 @@ def _theta(R=4.0, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0):
 
 
 class TestInnerMinimum:
+    """ZF with rho_d = rho_s = 0: reduced_power is the AM-GM minimum of the
+    PA and antenna-surplus terms, 2 sqrt(alpha rho_r k (2^(R/k)-1)), plus
+    the k * rho_r the k user-matched antennas draw."""
+
     def test_hand_values(self):
-        assert min_pa_antenna_power(1.0, _theta(R=2.0, alpha=3.0)) == \
-            pytest.approx(6.0, rel=1e-15)
-        assert min_pa_antenna_power(1.0, _theta(R=2.0, alpha=4.0)) == \
-            pytest.approx(2.0 * math.sqrt(12.0), rel=1e-15)
-        assert min_pa_antenna_power(2.0, _theta(R=4.0, alpha=2.0)) == \
-            pytest.approx(2.0 * math.sqrt(12.0), rel=1e-15)
+        assert reduced_power(1.0, _theta(R=2.0, alpha=3.0, rho_d=0.0,
+                                         rho_s=0.0), ZF) == \
+            pytest.approx(6.0 + 1.0, rel=1e-15)
+        assert reduced_power(1.0, _theta(R=2.0, alpha=4.0, rho_d=0.0,
+                                         rho_s=0.0), ZF) == \
+            pytest.approx(2.0 * math.sqrt(12.0) + 1.0, rel=1e-15)
+        assert reduced_power(2.0, _theta(R=4.0, alpha=2.0, rho_d=0.0,
+                                         rho_s=0.0), ZF) == \
+            pytest.approx(2.0 * math.sqrt(12.0) + 2.0, rel=1e-15)
 
     def test_matches_numeric_minimization_over_antenna_surplus(self):
-        theta = _theta(R=4.0, alpha=2.0, rho_r=1.0)
+        theta = _theta(R=4.0, alpha=2.0, rho_r=1.0, rho_d=0.0, rho_s=0.0)
         k = 2.0
         e = 2.0 ** (theta.R / k) - 1.0
         res = optimize.minimize_scalar(
             lambda t: t * theta.rho_r + theta.alpha * k * e / t,
             bounds=(1e-9, 1e6), method="bounded",
             options={"xatol": 1e-12})
-        assert min_pa_antenna_power(k, theta) == pytest.approx(res.fun, rel=1e-9)
+        assert reduced_power(k, theta, ZF) == \
+            pytest.approx(res.fun + k * theta.rho_r, rel=1e-9)
 
     @settings(max_examples=100)
     @given(k=st.floats(1.0, 200.0), t=st.floats(1e-3, 1e5),
            alpha=st.floats(1.01, 5.0), rho_r=st.floats(1e-3, 1e3),
            rate=st.floats(0.1, 100.0))
     def test_am_gm_lower_bound(self, k, t, alpha, rho_r, rate):
-        theta = _theta(R=rate, alpha=alpha, rho_r=rho_r)
+        theta = _theta(R=rate, alpha=alpha, rho_r=rho_r, rho_d=0.0, rho_s=0.0)
         e = 2.0 ** (rate / k) - 1.0
         two_term = t * rho_r + alpha * k * e / t
-        assert two_term >= min_pa_antenna_power(k, theta) * (1.0 - 1e-12)
+        assert two_term + k * rho_r >= \
+            reduced_power(k, theta, ZF) * (1.0 - 1e-12)
 
     def test_equality_at_closed_form_surplus(self):
-        theta = _theta(R=6.0, alpha=2.0, rho_r=0.3)
+        theta = _theta(R=6.0, alpha=2.0, rho_r=0.3, rho_d=0.0, rho_s=0.0)
         k = 3.0
         e = 2.0 ** (theta.R / k) - 1.0
         t_star = math.sqrt(theta.alpha * k * e / theta.rho_r)
         two_term = t_star * theta.rho_r + theta.alpha * k * e / t_star
-        assert two_term == pytest.approx(min_pa_antenna_power(k, theta), rel=1e-12)
+        assert two_term + k * theta.rho_r == \
+            pytest.approx(reduced_power(k, theta, ZF), rel=1e-12)
 
     def test_rejects_free_antennas(self):
         with pytest.raises(ValueError, match="rho_r"):
-            min_pa_antenna_power(1.0, _theta(rho_r=0.0))
+            reduced_power(1.0, _theta(rho_r=0.0), ZF)
 
 
 class TestReducedPower:

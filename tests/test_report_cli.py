@@ -97,13 +97,14 @@ class TestSweepRecords:
                                        outputs=outputs)):
             assert row["error"] == (f"exact: {exact}; relaxed: {relaxed}; "
                                     f"comparison: {relaxed}")
-        # a cap makes both optima finite; the comparison stays uncapped
+        # a cap makes both optima finite, the comparison's included
         for row in sweep_records(_spec(theta_base=_profile(rho_d=0.0),
                                        outputs=outputs, k_max=3)):
             assert row["zeta_relaxed"] is not None
-            assert row["error"] == f"comparison: {relaxed}"
+            assert row["relaxed_mrc_less_than_zf"] is not None
+            assert row["error"] is None
 
-    @pytest.mark.parametrize("k_max,per_rate", [(None, 2), (3, 4)])
+    @pytest.mark.parametrize("k_max,per_rate", [(None, 2), (3, 2)])
     def test_relaxation_solved_once_per_detector_and_cap(
             self, monkeypatch, k_max, per_rate):
         calls = []
@@ -122,6 +123,9 @@ class TestSweepRecords:
             theta = spec.theta_base.at_rate(row["R"])
             assert row["zeta_relaxed"] == minimize_relaxed(
                 theta, row["detector"], k_max=k_max).zeta
+            assert row["relaxed_mrc_less_than_zf"] == (
+                minimize_relaxed(theta, MRC, k_max=k_max).zeta
+                < minimize_relaxed(theta, ZF, k_max=k_max).zeta)
 
     def test_unreachable_rate_becomes_a_row_error(self):
         spec = _spec(r_values=(2000.0,), k_max=1)
