@@ -1,22 +1,37 @@
 """Exact optimization of integer antenna and user counts.
 
-The search enumerates K in ascending order. For each K the power is convex
-in M, so only the floor and ceiling of the continuous optimum (clamped to
-the feasible region) need to be checked. A per-K lower bound on the total
-power prunes the tail of the K range, which keeps the enumeration finite
-without any externally supplied cap.
+For each K the power is convex in M, so only the floor and ceiling of the
+continuous optimum (clamped to the feasible region) need to be checked.
+The search scans K upward in numpy blocks that double in size. A
+rate-aware lower bound on the power of every larger K ends the scan at
+the first K whose bound reaches the best power below it, exactly where a
+one-K-at-a-time loop would stop, so no externally supplied cap is needed.
+The block kernel's powers equal `_best_m_for_k`'s bit for bit; only the
+winning K goes back through `_best_m_for_k`, for its exact integer M.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 
-from .efficiency import (EfficiencyReport, _total_power,
+import numpy as np
+
+from .efficiency import (EfficiencyReport, _power_terms, _total_power,
                          evaluate_efficiency)
 from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
 from .relaxation import optimal_m
 from .units import SystemParams
+
+# hard stop for searches without k_max; the tail bound normally fires
+# long before it, and reaching it is reported as an error
+_K_CEILING = 10_000_000
+# the scan's K blocks start this small, so short searches stay cheap,
+# and double up to the largest, which bounds the temporaries' memory
+_FIRST_BLOCK = 512
+_LAST_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -61,21 +76,84 @@ def _best_m_for_k(k: int, theta: SystemParams,
                for m in candidates)
 
 
-def _tail_lower_bound(k: int, theta: SystemParams, det: Detector) -> float:
-    """Power lower bound valid for every user count >= k."""
+def _block_powers(ks: np.ndarray, theta: SystemParams,
+                  det: Detector) -> np.ndarray:
+    """`_best_m_for_k`'s power for every K in the float array ks.
+
+    Each line repeats the scalar path's operations in its order (through
+    `optimal_m`, `link._snr` and `efficiency._total_power`), so every entry
+    equals the scalar power bit for bit. numpy's own power differs from
+    the C library's in the last bit on some arguments, so 2^(R/K) is
+    taken from math.pow.
+    """
+    x = theta.R / ks
+    reachable = x < _EXP2_OVERFLOW
+    e = np.fromiter(map(math.pow, repeat(2.0),
+                        np.where(reachable, x, 0.0).tolist()),
+                    float, ks.size) - 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
+        if det is Detector.ZF:
+            m_lo, m_next = ks + 1.0, ks + 2.0
+            m_cont = ks + surplus
+        else:
+            boundary = (ks - 1.0) * e
+            # each rounded once, as float(m_lo) and float(m_lo + 1) are
+            m_lo, m_next = np.floor(boundary) + 2.0, np.floor(boundary) + 3.0
+            m_cont = 1.0 + boundary + surplus
+
+        def total(m: np.ndarray) -> np.ndarray:
+            denom = m - ks if det is Detector.ZF else m - 1.0 - boundary
+            gamma = e / denom
+            power = _power_terms(m, ks, gamma, theta)[4]
+            zeta = theta.R / power
+            ok = ((denom > 0) & (gamma > 0) & (gamma < math.inf)
+                  & np.isfinite(zeta) & (zeta >= sys.float_info.min))
+            return np.where(ok, power, math.inf)
+
+        finite = np.isfinite(m_cont)
+        lower = total(np.where(finite, np.maximum(m_lo, np.floor(m_cont)),
+                               m_lo))
+        upper = total(np.where(finite, np.maximum(m_lo, np.ceil(m_cont)),
+                               m_next))
+    return np.where(reachable, np.minimum(lower, upper), math.inf)
+
+
+def _tail_lower_bound(k: int | np.ndarray, theta: SystemParams,
+                      det: Detector) -> float | np.ndarray:
+    """Power lower bound valid for every user count >= k (int or array).
+
+    With e(K) = 2^(R/K) - 1 and 2^x - 1 >= x ln2, every K' >= k has
+    K' e(K') >= R ln2, so PA plus surplus antennas cost at least
+    2 sqrt(alpha rho_r R ln2), and (K'-1) e(K') >= R ln2 (1 - 1/k) for the
+    MRC interference antennas. The (1 - 1e-12) factor keeps rounding from
+    pruning a K that would win.
+    """
+    rate_ln2 = theta.R * math.log(2.0)
+    # three square roots, so no product overflows before the root
+    pa_antennas = (2.0 * math.sqrt(theta.alpha) * math.sqrt(theta.rho_r)
+                   * math.sqrt(rate_ln2))
     if det is Detector.ZF:
-        return (k + 1) * theta.rho_r + k * theta.rho_d + theta.rho_s
-    return theta.rho_r + k * theta.rho_d + theta.rho_s
+        bound = np.maximum(
+            (k + 1) * theta.rho_r + k * theta.rho_d + theta.rho_s,
+            pa_antennas + k * (theta.rho_r + theta.rho_d) + theta.rho_s)
+    else:
+        bound = (pa_antennas
+                 + theta.rho_r * (1.0 + rate_ln2 * (1.0 - 1.0 / k))
+                 + k * theta.rho_d + theta.rho_s)
+    return bound * (1.0 - 1e-12)
 
 
 def optimize_exact(theta: SystemParams, det: Detector, *,
                    k_max: int | None = None) -> Optimum:
     """Find the integer (M, K) maximizing energy efficiency.
 
-    Ties break toward smaller K and then smaller M; incumbents are only
-    replaced on strict power improvement during the ascending enumeration.
+    Ties break toward smaller K and then smaller M: the scan replaces its
+    incumbent only on strict power improvement in ascending K.
     Requires rho_d > 0 when k_max is not supplied, since otherwise ever
     larger user counts can keep improving and no finite answer exists.
+    Without k_max the answer is certified by the tail bound; if the bound
+    has not fired by K = 10 000 000 the search raises instead.
     """
     if theta.rho_r <= 0:
         raise ValueError(
@@ -86,27 +164,40 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
 
-    power_star, m_star, k_star = math.inf, 0, 0
+    k_ceiling = k_max if k_max is not None else _K_CEILING
+    power_star, k_star = math.inf, 0
     pruned_at: int | None = None
-    k_hi_seen = 0
-    k = 1
-    # hard stop well past any sane design; the tail bound normally fires
-    # long before this and the cap only guards against degenerate inputs
-    k_ceiling = k_max if k_max is not None else 10_000_000
-    while k <= k_ceiling:
-        if k_star and _tail_lower_bound(k, theta, det) >= power_star:
-            pruned_at = k
-            break
-        power, m = _best_m_for_k(k, theta, det)
-        k_hi_seen = k
-        if power < power_star:
-            power_star, m_star, k_star = power, m, k
-        k += 1
+    k_lo, size = 1, _FIRST_BLOCK
+    while pruned_at is None and k_lo <= k_ceiling:
+        ks = np.arange(k_lo, min(k_lo + size, k_ceiling + 1), dtype=float)
+        powers = _block_powers(ks, theta, det)
+        # best power over all K below each entry, the incumbent included
+        best_below = np.minimum.accumulate(
+            np.concatenate(([power_star], powers[:-1])))
+        fired = np.flatnonzero(
+            (best_below < math.inf)
+            & (_tail_lower_bound(ks, theta, det) >= best_below))
+        if fired.size:
+            pruned_at = k_lo + int(fired[0])
+            powers = powers[:fired[0]]
+        if powers.size:
+            i = int(np.argmin(powers))
+            if powers[i] < power_star:
+                power_star, k_star = float(powers[i]), k_lo + i
+        k_lo += ks.size
+        size = min(2 * size, _LAST_BLOCK)
 
     if not k_star:
         raise InfeasibleError(
             "no integer design achieves the rate with finite power")
+    if pruned_at is None and k_max is None:
+        raise ValueError(
+            f"exact search reached K = {_K_CEILING} before its tail bound "
+            "certified the optimum: supply k_max")
+    m_star = _best_m_for_k(k_star, theta, det)[1]
     report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det,
-                   k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)
+                   k_range_searched=(1, k_ceiling if pruned_at is None
+                                     else pruned_at - 1),
+                   pruned_at=pruned_at)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.integer_opt import _best_m_for_k, optimize_exact
+from mimo_ee.integer_opt import (Optimum, _best_m_for_k, _block_powers,
+                                 _tail_lower_bound, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -219,58 +221,216 @@ class TestErrors:
 
 
 # (R, alpha, rho_r, rho_d, rho_s), detector, k_max ->
-#     (M*, K*, zeta*, k_range_searched, pruned_at); frozen, so any
-#     rework of the search must reproduce every field bit for bit
+#     (M*, K*, zeta*, k_range_searched, pruned_at), pruned_at under the
+#     earlier rate-blind tail bound rho_r + k*rho_d + rho_s (ZF: M >= K+1).
+#     (M*, K*, zeta*) are frozen from that earlier search, so any rework
+#     must reproduce them bit for bit; the K range and pruned_at come from
+#     the current bound, which may only prune at or before the earlier one
 FROZEN_OPTIMA = (
-    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 82), 83)),
-    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 23), 24)),
-    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 10), 11)),
-    ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 6), 7)),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 38), 39)),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 19), 20)),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 258), 259)),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 59), 60)),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 33), 34)),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 19), 20)),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 119), 120)),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 50), 51)),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 970), 971)),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 172), 173)),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 129), 130)),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 64), 65)),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 447), 448)),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 147), 148)),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 5819), 5820)),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 747), 748)),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 793), 794)),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 327), 328)),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 2670), 2671)),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 656), 657)),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None)),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None)),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (1, 40), None)),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, 300, (1083, 300, 1.3838225313878523, (1, 300), None)),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, 2, (1152921510487973120, 2, 1.040834074967362e-15, (1, 2), None)),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, 9, (756, 9, 0.1550343681783867, (1, 9), None)),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (1, 1000), None)),
-    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None)),
-    ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None)),
-    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 35), 36)),
-    ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None)),
-    ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None)),
-    ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None)),
-    ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None)),
-    ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (1, 700), None)),
-    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 981), 982)),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 44), 45), 83),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 17), 18), 24),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 9), 10), 11),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 6), 7), 7),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 26), 27), 39),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 15), 16), 20),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 149), 150), 259),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 47), 48), 60),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 31), 32), 34),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 18), 19), 20),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 88), 89), 120),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 41), 42), 51),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 586), 587), 971),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 147), 148), 173),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 124), 125), 130),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 63), 64), 65),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 342), 343), 448),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 130), 131), 148),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 3611), 3612), 5820),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 683), 684), 748),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 769), 770), 794),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 323), 324), 328),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 2095), 2096), 2671),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 612), 613), 657),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None), None),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None), None),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (1, 40), None), None),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, 300, (1083, 300, 1.3838225313878523, (1, 300), None), None),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, 2, (1152921510487973120, 2, 1.040834074967362e-15, (1, 2), None), None),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, 9, (756, 9, 0.1550343681783867, (1, 9), None), None),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (1, 1000), None), None),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None), None),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None), None),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 22), 23), 36),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None), None),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None), None),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None), None),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None), None),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (1, 700), None), None),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 854), 855), 982),
 )
 
 
 class TestFrozenOptima:
     def test_every_field_matches(self):
-        for (R, alpha, rho_r, rho_d, rho_s), det, k_max, want in FROZEN_OPTIMA:
+        for (R, alpha, rho_r, rho_d, rho_s), det, k_max, want, earlier in \
+                FROZEN_OPTIMA:
+            case = (R, alpha, rho_r, rho_d, rho_s, det, k_max)
             got = optimize_exact(_theta(R=R, alpha=alpha, rho_r=rho_r,
                                         rho_d=rho_d, rho_s=rho_s),
                                  det, k_max=k_max)
             assert (got.m_star, got.k_star, got.zeta_star,
-                    got.k_range_searched, got.pruned_at) == want, \
-                (R, alpha, rho_r, rho_d, rho_s, det, k_max)
+                    got.k_range_searched, got.pruned_at) == want, case
+            if earlier is not None:
+                assert got.pruned_at is not None and \
+                    got.pruned_at <= earlier, case
+            if got.pruned_at is None:
+                assert got.k_range_searched == (1, k_max), case
+            else:
+                assert got.k_range_searched == (1, got.pruned_at - 1), case
+
+
+def _sequential_search(theta, det, k_max=None):
+    """optimize_exact as a one-K-at-a-time loop over _best_m_for_k.
+
+    The reference for the block scan: same tail bound, same ceiling, same
+    tie rule (strict improvement in ascending K), same Optimum fields.
+    """
+    power_star, m_star, k_star = math.inf, 0, 0
+    pruned_at = None
+    k_hi_seen = 0
+    k = 1
+    k_ceiling = k_max if k_max is not None else 10_000_000
+    while k <= k_ceiling:
+        if k_star and _tail_lower_bound(k, theta, det) >= power_star:
+            pruned_at = k
+            break
+        power, m = _best_m_for_k(k, theta, det)
+        k_hi_seen = k
+        if power < power_star:
+            power_star, m_star, k_star = power, m, k
+        k += 1
+    if not k_star:
+        raise InfeasibleError(
+            "no integer design achieves the rate with finite power")
+    report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
+    return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
+                   report=report, detector=det,
+                   k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)
+
+
+def _reference_corpus():
+    """Seeded designs: uncapped, capped, rho_d = 0 with a cap, extremes."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for i in range(90):
+        k_max = None
+        rho_r, rho_d = (float(10.0 ** rng.uniform(-1, 1)) for _ in range(2))
+        if i % 3 == 1:
+            k_max = int(rng.integers(1, 60))
+        elif i % 3 == 2:
+            # costly antennas push M onto the MRC feasibility boundary
+            log_rho_r = float(rng.uniform(0, 6))
+            rho_r = 10.0 ** log_rho_r
+            rho_d = float(10.0 ** rng.uniform(log_rho_r - 2, log_rho_r + 1))
+        cases.append((SystemParams(
+            R=float(10.0 ** rng.uniform(0, 3.5)),
+            alpha=float(rng.uniform(1.05, 4.0)), rho_r=rho_r, rho_d=rho_d,
+            rho_s=float(10.0 ** rng.uniform(-1, 1))),
+            MRC if i % 2 else ZF, k_max))
+    for i in range(10):
+        cases.append((_theta(R=float(rng.integers(1, 3000)), rho_d=0.0),
+                      MRC if i % 2 else ZF, int(rng.integers(1, 2000))))
+    cases += [
+        (_theta(R=1e5), ZF, None),
+        (_theta(R=1e4), MRC, None),
+        # M = 31 at K = 3 sits exactly on the MRC boundary
+        (_theta(R=12.0, rho_r=1e6), MRC, None),
+        (_theta(R=12.0, rho_r=1e6), ZF, None),
+        (_theta(R=12.0, rho_r=1e6), MRC, 3),
+        # R / K* where numpy's power and ** disagree in the last bit on
+        # some numpy builds; the block scan must not see the difference
+        (_theta(R=83.0), ZF, None),
+        (_theta(R=153.0), MRC, None),
+        (_theta(R=160.0), MRC, None),
+        (_theta(R=188.0), ZF, None),
+    ]
+    return cases
+
+
+class TestBlockScan:
+    def test_block_powers_equal_scalar_powers(self):
+        # bit for bit, infeasible K included, over designs whose optimal M
+        # ranges from a few antennas to past 2^53
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            theta = SystemParams(
+                R=float(10.0 ** rng.uniform(-1, 5)),
+                alpha=float(rng.uniform(1.01, 10.0)),
+                rho_r=float(10.0 ** rng.uniform(-4, 40 if i % 3 == 0 else 4)),
+                rho_d=float(10.0 ** rng.uniform(-4, 3)),
+                rho_s=float(10.0 ** rng.uniform(-3, 3)))
+            det = MRC if i % 2 else ZF
+            k0 = int(rng.integers(1, 3000))
+            ks = np.arange(k0, k0 + 300, dtype=float)
+            want = [_best_m_for_k(k, theta, det)[0] for k in range(k0, k0 + 300)]
+            assert _block_powers(ks, theta, det).tolist() == want, (theta, det)
+
+    def test_matches_the_sequential_loop(self):
+        for theta, det, k_max in _reference_corpus():
+            try:
+                want = _sequential_search(theta, det, k_max)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError, match=str(exc)):
+                    optimize_exact(theta, det, k_max=k_max)
+                continue
+            assert optimize_exact(theta, det, k_max=k_max) == want, \
+                (theta, det, k_max)
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.floats(0.5, 5000.0), alpha=st.floats(1.05, 5.0),
+           log_rho_r=st.floats(-3.0, 5.0), log_rho_d=st.floats(-4.0, 3.0),
+           rho_s=st.floats(0.0, 1e3), k=st.integers(1, 5000))
+    def test_tail_bound_holds_for_larger_user_counts(
+            self, det, rate, alpha, log_rho_r, log_rho_d, rho_s, k):
+        theta = SystemParams(R=rate, alpha=alpha, rho_r=10.0 ** log_rho_r,
+                             rho_d=10.0 ** log_rho_d, rho_s=rho_s)
+        bound = _tail_lower_bound(k, theta, det)
+        for j in range(k, k + 201):
+            assert bound <= _best_m_for_k(j, theta, det)[0], j
+
+
+class TestCertification:
+    def test_large_antenna_power_prunes_after_one_user(self):
+        # the rate-blind bound rho_r + k*rho_d + rho_s ran this to the
+        # ceiling; the rate term makes it fire at K = 2
+        theta = SystemParams(R=9.147, alpha=7.77, rho_r=4.85e5,
+                             rho_d=0.0288, rho_s=2080.0)
+        got = optimize_exact(theta, MRC)
+        assert (got.m_star, got.k_star) == (2, 1)
+        assert got.pruned_at == 2
+        assert got.k_range_searched == (1, 1)
+
+    def test_tiny_user_power_stays_bounded(self):
+        # 939 266 K under the rate-blind bound
+        got = optimize_exact(_theta(R=100.0, rho_d=1e-4), MRC)
+        assert got.pruned_at is not None
+        assert got.k_range_searched[1] <= 11_000
+
+    def test_reaching_the_ceiling_uncapped_raises(self, monkeypatch):
+        theta = _theta(R=100.0, rho_d=1e-4)
+        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50)
+        with pytest.raises(ValueError, match="supply k_max"):
+            optimize_exact(theta, MRC)
+        capped = optimize_exact(theta, MRC, k_max=50)
+        assert capped.pruned_at is None
+        assert capped.k_range_searched == (1, 50)
+
+    def test_uncertified_search_is_a_row_error(self, monkeypatch):
+        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50)
+        (row,) = sweep_records(SweepSpec(
+            r_values=(100.0,), theta_base=PowerProfile(
+                alpha=2.0, rho_r=1.0, rho_d=1e-4, rho_s=1.0),
+            detectors=(MRC,)))
+        assert row["M_star"] is None
+        assert row["error"].startswith("exact: exact search reached K = 50")
