@@ -184,6 +184,12 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
             i = int(np.argmin(powers))
             if powers[i] < power_star:
                 power_star, k_star = float(powers[i]), k_lo + i
+        if (power_star == math.inf and theta.R < ks[-1]
+                and math.pow(2.0, theta.R / ks[-1]) == 1.0):
+            # 2^(R/K) - 1 is 0 here and, as R/K falls, at every larger K:
+            # no K beyond this block reaches the rate either (R < K keeps
+            # the pow in range)
+            break
         k_lo += ks.size
         size = min(2 * size, _LAST_BLOCK)
 

@@ -12,6 +12,14 @@ are bit-identical across runs, across thread counts, and between a
 standalone run and a member of a grouped sweep. Work is partitioned into
 fixed-size slabs of trials; the thread count only decides which worker
 handles a slab, never where slab boundaries fall.
+
+Inside a slab, trials stream through chunks of about 1 MiB of uniforms,
+which reuse three chunk buffers: the uniforms, the complex channels and
+their conjugates. A chunk only bounds how many trials are drawn,
+transformed and multiplied out at once; it never moves a slab boundary
+and does no arithmetic of its own, so every result is the same for any
+chunk size. Memory per worker thread is the chunk buffers plus the
+slab's (trials, k, k) Gram matrices and what is derived from them.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 from .link import AntennaConfig, Detector, rate_achieved
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
+_CHUNK_BYTES = 1 << 20  # uniforms per chunk of a slab, sized to stay in L2 cache
 _Z95 = 1.96         # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi
 _SEED_BOUND = 2 ** 64
@@ -87,18 +96,29 @@ class _ChannelStream:
         return self._gen.random(self._shape, out=out)
 
 
-def channel_from_uniforms(u: np.ndarray) -> np.ndarray:
+def channel_from_uniforms(u: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Map uniforms of shape (..., 2, m, k) to CN(0, 1) matrices (..., m, k).
 
     Polar Box-Muller with the pair (radius, angle) per entry; each complex
     coefficient has unit total variance, i.e. 1/2 per real component.
+    With `out` (complex128, shape (..., m, k)) the matrices are written
+    there and u is overwritten as scratch; without it u is left intact.
     """
-    radius = np.sqrt(-np.log(1.0 - u[..., 0, :, :]))
-    angle = _TWO_PI * u[..., 1, :, :]
-    h = np.empty(radius.shape, dtype=np.complex128)
-    h.real = radius * np.cos(angle)
-    h.imag = radius * np.sin(angle)
-    return h
+    if out is None:
+        u = u.copy()
+        out = np.empty(u.shape[:-3] + u.shape[-2:], dtype=np.complex128)
+    radius, angle = u[..., 0, :, :], u[..., 1, :, :]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(_TWO_PI, angle, out=angle)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    np.multiply(out.real, radius, out=out.real)
+    np.multiply(out.imag, radius, out=out.imag)
+    return out
 
 
 def channel_matrix(m: int, k: int, seed: int, trial: int,
@@ -135,11 +155,19 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                   resample_counts: np.ndarray, slab_index: int) -> None:
     n = hi - lo
     stream = _ChannelStream(seed, m, k)
-    u = np.empty((n, 2, m, k))
-    for i in range(n):
-        stream.uniforms(lo + i, 0, out=u[i])
-    h = channel_from_uniforms(u)                          # (n, m, k)
-    gram = np.matmul(h.conj().transpose(0, 2, 1), h)      # (n, k, k)
+    # a trial's uniforms take 2 m k doubles, 16 m k bytes
+    chunk = min(n, max(1, _CHUNK_BYTES // (16 * m * k)))
+    u = np.empty((chunk, 2, m, k))
+    h = np.empty((chunk, m, k), dtype=np.complex128)
+    h_conj = np.empty_like(h)
+    gram = np.empty((n, k, k), dtype=np.complex128)
+    for a in range(0, n, chunk):
+        c = min(chunk, n - a)
+        for i in range(c):
+            stream.uniforms(lo + a + i, 0, out=u[i])
+        channel_from_uniforms(u[:c], out=h[:c])
+        np.conjugate(h[:c], out=h_conj[:c])
+        np.matmul(h_conj[:c].transpose(0, 2, 1), h[:c], out=gram[a:a + c])
 
     if mrc_members:
         d = np.diagonal(gram, axis1=1, axis2=2).real      # (n, k) channel norms

@@ -434,3 +434,39 @@ class TestCertification:
             detectors=(MRC,)))
         assert row["M_star"] is None
         assert row["error"].startswith("exact: exact search reached K = 50")
+
+
+class TestUnreachableRates:
+    # 2^(R/1) rounds to 1 for every R below this, so no K reaches R
+    R_ZERO_GAIN = 1.6017132519074588e-16
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.0 + 2e-16, 1.5, 1e3])
+    def test_early_stop_matches_the_full_scan(self, monkeypatch, det, scale):
+        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50_000)
+        theta = _theta(R=self.R_ZERO_GAIN * scale)
+        try:
+            want = _sequential_search(theta, det, k_max=50_000)
+        except InfeasibleError as exc:
+            for k_max in (None, 50_000):
+                with pytest.raises(InfeasibleError, match=str(exc)):
+                    optimize_exact(theta, det, k_max=k_max)
+            return
+        assert optimize_exact(theta, det) == want
+        assert optimize_exact(theta, det, k_max=50_000) == want
+
+    @pytest.mark.parametrize("rate", [1e-17, 1e-300])
+    def test_unreachable_rate_stops_after_one_block(self, monkeypatch, rate):
+        calls = []
+
+        def counted(ks, theta, det):
+            calls.append(ks.size)
+            return _block_powers(ks, theta, det)
+
+        monkeypatch.setattr("mimo_ee.integer_opt._block_powers", counted)
+        for det in (MRC, ZF):
+            calls.clear()
+            with pytest.raises(InfeasibleError,
+                               match="no integer design achieves the rate"):
+                optimize_exact(_theta(R=rate), det)
+            assert len(calls) == 1

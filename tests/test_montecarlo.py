@@ -1,15 +1,18 @@
-"""Channel simulation: determinism, bound margins, and the resample path."""
+"""Channel simulation: determinism, bound margins, the resample path and
+the streamed slab."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mimo_ee.montecarlo as mc
 from mimo_ee.link import Detector
-from mimo_ee.montecarlo import (McConfig, _ChannelStream, _zf_diag_inv_single,
-                                bound_gap_sweep, channel_from_uniforms,
-                                channel_matrix, simulate)
+from mimo_ee.montecarlo import (_SLAB, McConfig, _ChannelStream,
+                                _zf_diag_inv_single, bound_gap_sweep,
+                                channel_from_uniforms, channel_matrix,
+                                simulate)
 
 MRC, ZF = Detector.MRC, Detector.ZF
 
@@ -62,9 +65,15 @@ class TestChannelDraws:
     def test_uniform_mapping_shape_contract(self):
         u = _ChannelStream(3, 4, 2).uniforms(trial=0)
         assert u.shape == (2, 4, 2)
+        kept = u.copy()
         h = channel_from_uniforms(u)
         assert h.shape == (4, 2)
         assert h.dtype == np.complex128
+        assert np.array_equal(u, kept)
+        # with out=, the same matrix lands there and u becomes scratch
+        out = np.empty((4, 2), dtype=np.complex128)
+        assert channel_from_uniforms(u, out=out) is out
+        assert np.array_equal(out, h)
 
     def test_buffered_words_do_not_leak_between_trials(self):
         # drawing trials in different orders must give the same matrices
@@ -174,3 +183,115 @@ class TestValidation:
         assert [cfg for cfg, _ in swept] == family
         # duplicated configs get identical results
         assert swept[0][1] == swept[3][1]
+
+
+def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members,
+                          resample_counts, slab_index):
+    """The slab body before chunking: each stage on the whole slab at once.
+
+    The reference for the streamed slab, with Box-Muller spelled out as it
+    was, so it shares no chunk or buffer logic with the code under test.
+    """
+    n = hi - lo
+    stream = _ChannelStream(seed, m, k)
+    u = np.empty((n, 2, m, k))
+    for i in range(n):
+        stream.uniforms(lo + i, 0, out=u[i])
+    radius = np.sqrt(-np.log(1.0 - u[..., 0, :, :]))
+    angle = 2.0 * math.pi * u[..., 1, :, :]
+    h = np.empty(radius.shape, dtype=np.complex128)
+    h.real = radius * np.cos(angle)
+    h.imag = radius * np.sin(angle)
+    gram = np.matmul(h.conj().transpose(0, 2, 1), h)
+
+    if mrc_members:
+        d = np.diagonal(gram, axis1=1, axis2=2).real
+        row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
+        cross = row_power - d * d
+        for mem in mrc_members:
+            g = mem.cfg.gamma
+            sinr = (g * d * d) / (g * cross + d)
+            mem.rates[lo:hi] = np.log2(1.0 + sinr).sum(axis=1)
+
+    if zf_members:
+        resampled = 0
+        try:
+            np.linalg.cholesky(gram)
+            diag_inv = np.diagonal(
+                np.linalg.inv(gram), axis1=1, axis2=2).real
+        except np.linalg.LinAlgError:
+            diag_inv = np.empty((n, k))
+            for i in range(n):
+                diag_inv[i], extra = _zf_diag_inv_single(
+                    stream, lo + i, gram[i])
+                resampled += extra
+        for mem in zf_members:
+            mem.rates[lo:hi] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
+        resample_counts[slab_index] = resampled
+
+
+def _family(m, k, trials, seed=13):
+    return [McConfig(m=m, k=k, gamma=g, detector=det, trials=trials, seed=seed)
+            for det in (MRC, ZF) for g in (0.02, 3.0)
+            if det is MRC or m > k]
+
+
+def _assert_streamed_equals_whole_slab(monkeypatch, family):
+    streamed = {t: bound_gap_sweep(family, threads=t) for t in (1, 2)}
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_process_slab", _whole_slab_reference)
+        want = bound_gap_sweep(family)
+    assert streamed[1] == want
+    assert streamed[2] == want
+
+
+class TestStreamedSlab:
+    @pytest.mark.parametrize("m,k", [(5, 3), (4, 1), (6, 5)])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_chunks_leave_every_result_unchanged(self, monkeypatch, m, k,
+                                                 chunk):
+        # chunk=None keeps the module's 1 MiB chunk, which holds a whole
+        # slab at these sizes; 7 trials puts chunk edges inside each slab
+        if chunk is not None:
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * m * k * chunk)
+        size = chunk or _SLAB
+        for trials in (1, size - 1, size + 1, _SLAB + 37):
+            _assert_streamed_equals_whole_slab(
+                monkeypatch, _family(m, k, trials))
+
+    def test_cache_sized_chunks_of_a_large_design(self, monkeypatch):
+        chunk = mc._CHUNK_BYTES // (16 * 128 * 16)
+        assert 1 < chunk < _SLAB
+        for trials in (chunk - 1, chunk + 1, _SLAB + 37):
+            _assert_streamed_equals_whole_slab(
+                monkeypatch, _family(128, 16, trials))
+
+    def test_rank_deficient_fallback(self, monkeypatch):
+        orig = _ChannelStream.uniforms
+
+        def masked(self, trial, resample=0, out=None):
+            u = orig(self, trial, resample, out)
+            if resample == 0:
+                u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
+            return u
+
+        monkeypatch.setattr(mc._ChannelStream, "uniforms", masked)
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * 6 * 3 * 7)
+        # MRC is left out: its zero-norm user makes every rate NaN
+        family = [cfg for cfg in _family(6, 3, 7 * 3 + 2)
+                  if cfg.detector is ZF]
+        _assert_streamed_equals_whole_slab(monkeypatch, family)
+        assert bound_gap_sweep(family)[0][1].resampled == 23
+
+    def test_slab_memory_is_its_gram_not_its_channels(self):
+        # whole-slab stages peaked at about 470 MB here; streamed, the
+        # slab's Gram matrices and their ZF inverse dominate
+        family = [McConfig(m=128, k=16, gamma=0.1, detector=det,
+                           trials=_SLAB, seed=3) for det in (MRC, ZF)]
+        tracemalloc.start()
+        try:
+            bound_gap_sweep(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mimo_ee
 from mimo_ee.asymptotics import TrajectorySpec, trajectory_zeta
 from mimo_ee.cli import main
 from mimo_ee.integer_opt import optimize_exact
@@ -389,7 +392,11 @@ class TestCli:
 
     def test_module_entrypoint_matches_in_process(self, capsys, config_path):
         _, expected, _ = _run(capsys, "sweep", "--config", config_path)
+        # the child finds the package where this process found it
+        path = [str(Path(mimo_ee.__file__).parents[1]),
+                os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "mimo_ee", "sweep", "--config", config_path],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=env)
         assert proc.stdout == expected
