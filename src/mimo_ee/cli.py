@@ -10,6 +10,7 @@ unmet). Every failure prints a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -306,6 +307,7 @@ def _seed_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="FILE",

@@ -2,9 +2,16 @@
 
 For a fixed real user count k the optimal antenna count has a closed form,
 which collapses the design problem to a one-dimensional minimization over
-k. That reduced objective is not known to be unimodal, so the solver runs
-a dense logarithmic grid first and then refines the winning bracket by
-golden-section search.
+k. The solver evaluates that reduced objective on a dense logarithmic grid
+over [1, k_cap] and then zooms into the winning bracket with linear grids.
+
+The logarithmic grid is needed, not a safeguard: the MRC objective is not
+unimodal. At R=1.8350427952080244, alpha=1.1773640808511252,
+rho_r=1.6871425199908638, rho_d=1.015681971172033e-4,
+rho_s=0.3455529913653919 its global minimum 6.5497 sits on the boundary
+k = 1; the power rises to a hump near k = 5.5 and falls again to an
+interior local minimum of 7.3671 at k = 45.06, which a bracketing search
+over [1, k_cap] returns instead. The grid finds k = 1 because it starts there.
 """
 
 from __future__ import annotations
@@ -17,9 +24,6 @@ import numpy as np
 from .link import Detector, InfeasibleError, exp2_sat
 from .units import SystemParams
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
 _GRID_POINTS = 4096
 _REL_TOL = 1e-9
 
@@ -28,9 +32,8 @@ _REL_TOL = 1e-9
 class SolverDiag:
     """Where the 1-D solver looked and how hard it refined."""
 
-    grid_points: int
-    refine_iters: int
-    bracket: tuple[float, float]
+    refine_iters: int   # zoom rounds after the logarithmic grid
+    bracket: tuple[float, float]   # logarithmic-grid neighbours of its winner
 
 
 @dataclass(frozen=True)
@@ -92,30 +95,6 @@ def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     return 1.0 + (0.0 if k == 1 else (k - 1.0) * e) + surplus
 
 
-def _golden_refine(f, lo: float, hi: float) -> tuple[float, int]:
-    """Golden-section minimization of f on [lo, hi]; ties drift to smaller k."""
-    width = hi - lo
-    tol = _REL_TOL * max(1.0, abs(hi))
-    if width <= tol:
-        return (lo + hi) / 2.0, 0
-    steps = int(math.ceil(math.log(tol / width) / math.log(_INVPHI)))
-    a, b = lo, hi
-    c = a + _INVPHI2 * width
-    d = a + _INVPHI * width
-    yc = f(c)
-    yd = f(d)
-    for _ in range(steps):
-        if yc <= yd:
-            b, d, yd = d, c, yc
-            c = a + _INVPHI2 * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INVPHI * (b - a)
-            yd = f(d)
-    return (a + b) / 2.0, steps
-
-
 def minimize_relaxed(theta: SystemParams, det: Detector, *,
                      k_max: float | None = None) -> RelaxedOptimum:
     """Minimize the reduced power objective over real k in [1, k_max].
@@ -139,35 +118,32 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
         k_cap = float(k_max)
 
-    if k_cap == 1.0:
-        objective = reduced_power(1.0, theta, det)
-        if not math.isfinite(objective):
-            raise InfeasibleError("power overflows double range at k = 1")
-        return RelaxedOptimum(
-            k_star=1.0, m_star=optimal_m(theta, 1.0, det),
-            zeta=theta.R / objective, objective=objective, detector=det,
-            solver_diag=SolverDiag(grid_points=1, refine_iters=0,
-                                   bracket=(1.0, 1.0)))
-
     grid = np.geomspace(1.0, k_cap, _GRID_POINTS)
     values = _objective_grid(grid, theta, det)
     best = int(np.argmin(values))  # first minimum wins, i.e. smaller k on ties
     if not math.isfinite(values[best]):
         raise InfeasibleError(
             "power overflows double range over the whole k grid")
+    objective, k_star = float(values[best]), float(grid[best])
+    bracket = (float(grid[max(best - 1, 0)]),
+               float(grid[min(best + 1, _GRID_POINTS - 1)]))
 
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    k_refined, iters = _golden_refine(
-        lambda k: reduced_power(k, theta, det), lo, hi)
+    # zoom: a linear grid over the bracket, then over the bracket around
+    # its argmin, until the bracket is narrower than the tolerance; the
+    # running best only ever improves, so no round can lose the coarse winner
+    lo, hi = bracket
+    rounds = 0
+    while hi - lo > _REL_TOL * max(1.0, hi):
+        grid = np.linspace(lo, hi, _GRID_POINTS)
+        values = _objective_grid(grid, theta, det)
+        best = int(np.argmin(values))
+        if values[best] < objective:
+            objective, k_star = float(values[best]), float(grid[best])
+        lo = float(grid[max(best - 1, 0)])
+        hi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+        rounds += 1
 
-    # keep whichever of the grid point and the refined point is lower;
-    # on a tie the smaller k wins for deterministic output
-    candidates = sorted({float(grid[best]), k_refined})
-    k_star = min(candidates, key=lambda k: (reduced_power(k, theta, det), k))
-    objective = reduced_power(k_star, theta, det)
     return RelaxedOptimum(
         k_star=k_star, m_star=optimal_m(theta, k_star, det),
         zeta=theta.R / objective, objective=objective, detector=det,
-        solver_diag=SolverDiag(grid_points=_GRID_POINTS, refine_iters=iters,
-                               bracket=(lo, hi)))
+        solver_diag=SolverDiag(refine_iters=rounds, bracket=bracket))

@@ -9,7 +9,8 @@ from scipy import optimize
 
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, InfeasibleError, is_feasible
-from mimo_ee.relaxation import minimize_relaxed, optimal_m, reduced_power
+from mimo_ee.relaxation import (_objective_grid, minimize_relaxed, optimal_m,
+                                reduced_power)
 from mimo_ee.units import SystemParams
 
 MRC, ZF = Detector.MRC, Detector.ZF
@@ -241,3 +242,62 @@ class TestMinimizeRelaxed:
         assert out.k_star <= 50.0
         with pytest.raises(InfeasibleError):
             minimize_relaxed(_theta(R=2000.0), MRC, k_max=1.0)
+
+
+class TestGlobalMinimum:
+    """The MRC objective is not unimodal, so no bracketing search alone is
+    safe; the solver must look at the whole of [1, k_cap]."""
+
+    # global minimum on the boundary k = 1, a hump near k = 5.5, and an
+    # interior local minimum near k = 45.06 that is 12 % worse
+    BOUNDARY = SystemParams(R=1.8350427952080244, alpha=1.1773640808511252,
+                            rho_r=1.6871425199908638,
+                            rho_d=1.015681971172033e-4,
+                            rho_s=0.3455529913653919)
+
+    def test_boundary_minimum_beats_interior_local_minimum(self):
+        out = minimize_relaxed(self.BOUNDARY, MRC)
+        assert out.k_star == 1.0
+        assert out.objective == reduced_power(1.0, self.BOUNDARY, MRC)
+        interior = reduced_power(45.06, self.BOUNDARY, MRC)
+        hump = reduced_power(5.5, self.BOUNDARY, MRC)
+        assert interior > out.objective * 1.12
+        assert hump > interior
+        # 45.06 is a local minimum: its neighbours are higher
+        assert reduced_power(44.0, self.BOUNDARY, MRC) > interior
+        assert reduced_power(46.0, self.BOUNDARY, MRC) > interior
+
+    @staticmethod
+    def _k_cap(theta, det, k_max):
+        # the documented incumbent rule: no k with k * rho_d above the
+        # objective at the seed point max(1, R/2) can win
+        if k_max is not None:
+            return float(k_max)
+        k_seed = max(1.0, theta.R / 2.0)
+        return max(k_seed, math.ceil(
+            reduced_power(k_seed, theta, det) / theta.rho_d))
+
+    def test_never_worse_than_a_five_times_denser_grid(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            theta = SystemParams(
+                R=float(10.0 ** rng.uniform(0.0, 3.5)),
+                alpha=float(rng.uniform(1.01, 8.0)),
+                rho_r=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                rho_d=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                rho_s=float(10.0 ** rng.uniform(-1.0, 1.0)))
+            k_cap_drawn = float(rng.integers(1, 200))
+            for det in (MRC, ZF):
+                for k_max in (None, k_cap_drawn):
+                    out = minimize_relaxed(theta, det, k_max=k_max)
+                    k_cap = self._k_cap(theta, det, k_max)
+                    dense = _objective_grid(np.geomspace(1.0, k_cap, 20001),
+                                            theta, det)
+                    assert out.objective <= dense.min() * (1.0 + 1e-12), \
+                        (theta, det, k_max)
+                    for k in (out.k_star * (1.0 - 1e-7),
+                              out.k_star * (1.0 + 1e-7)):
+                        if 1.0 <= k <= k_cap:
+                            assert out.objective <= \
+                                reduced_power(k, theta, det), \
+                                (theta, det, k_max, k)

@@ -390,6 +390,29 @@ class TestCli:
             main(["sweep", "--config", config_path, "--threads", "0"])
         assert exc.value.code == 2
 
+    def test_repeated_parse_error_is_unchanged(self, capsys, config_path):
+        # the parser is built once per process; a failed parse must not
+        # leave anything behind that changes the next one
+        results = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--config", config_path, "--k-max", "0"])
+            results.append((exc.value.code, capsys.readouterr()))
+        assert results[0][0] == results[1][0] == 2
+        assert results[0][1].err == results[1][1].err
+        assert "--k-max: must be >= 1, got 0" in results[0][1].err
+        assert results[0][1].out == results[1][1].out == ""
+
+    def test_repeated_help_is_unchanged(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("usage: mimo-ee")
+
     def test_module_entrypoint_matches_in_process(self, capsys, config_path):
         _, expected, _ = _run(capsys, "sweep", "--config", config_path)
         # the child finds the package where this process found it
