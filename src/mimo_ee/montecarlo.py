@@ -14,12 +14,14 @@ fixed-size slabs of trials; the thread count only decides which worker
 handles a slab, never where slab boundaries fall.
 
 Inside a slab, trials stream through chunks of about 1 MiB of uniforms,
-which reuse three chunk buffers: the uniforms, the complex channels and
-their conjugates. A chunk only bounds how many trials are drawn,
-transformed and multiplied out at once; it never moves a slab boundary
-and does no arithmetic of its own, so every result is the same for any
-chunk size. Memory per worker thread is the chunk buffers plus the
-slab's (trials, k, k) Gram matrices and what is derived from them.
+which reuse four chunk buffers: the uniforms, the complex channels,
+their conjugates and their (k, k) Gram matrices. Every stage, from the
+draw to each member's per-trial rates, runs on one chunk at a time. A
+chunk only bounds how many trials are handled at once; it never moves a
+slab boundary, and every operation acts per trial or along a trial's own
+axes, so every result is the same for any chunk size. Memory per worker
+thread is the chunk buffers plus what one chunk's rates derive from the
+Gram, plus each member's per-trial rates.
 """
 
 from __future__ import annotations
@@ -85,14 +87,16 @@ class _ChannelStream:
     def __init__(self, seed: int, m: int, k: int) -> None:
         self._gen = np.random.Generator(np.random.Philox(key=seed))
         self._shape = (2, m, k)
+        # one state dict, reused: each draw rewrites only its counter words,
+        # and buffer_pos = 4 discards any buffered words from a prior block
+        self._state = self._gen.bit_generator.state
+        self._state["buffer_pos"] = 4
+        self._counter = self._state["state"]["counter"]
 
     def uniforms(self, trial: int, resample: int = 0,
                  out: np.ndarray | None = None) -> np.ndarray:
-        state = self._gen.bit_generator.state
-        state["state"]["counter"] = np.array(
-            [0, resample, 0, trial], dtype=np.uint64)
-        state["buffer_pos"] = 4  # discard any buffered words from a prior block
-        self._gen.bit_generator.state = state
+        self._counter[:] = (0, resample, 0, trial)
+        self._gen.bit_generator.state = self._state
         return self._gen.random(self._shape, out=out)
 
 
@@ -160,40 +164,42 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     u = np.empty((chunk, 2, m, k))
     h = np.empty((chunk, m, k), dtype=np.complex128)
     h_conj = np.empty_like(h)
-    gram = np.empty((n, k, k), dtype=np.complex128)
+    gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
+    resampled = 0
     for a in range(0, n, chunk):
         c = min(chunk, n - a)
+        start, stop = lo + a, lo + a + c
         for i in range(c):
-            stream.uniforms(lo + a + i, 0, out=u[i])
+            stream.uniforms(start + i, 0, out=u[i])
         channel_from_uniforms(u[:c], out=h[:c])
         np.conjugate(h[:c], out=h_conj[:c])
-        np.matmul(h_conj[:c].transpose(0, 2, 1), h[:c], out=gram[a:a + c])
+        gram = np.matmul(h_conj[:c].transpose(0, 2, 1), h[:c], out=gram_buf[:c])
 
-    if mrc_members:
-        d = np.diagonal(gram, axis1=1, axis2=2).real      # (n, k) channel norms
-        row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
-        cross = row_power - d * d                         # interference power
-        for mem in mrc_members:
-            g = mem.cfg.gamma
-            sinr = (g * d * d) / (g * cross + d)
-            mem.rates[lo:hi] = np.log2(1.0 + sinr).sum(axis=1)
+        if mrc_members:
+            d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
+            row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
+            cross = row_power - d * d                         # interference power
+            for mem in mrc_members:
+                g = mem.cfg.gamma
+                sinr = (g * d * d) / (g * cross + d)
+                mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
 
-    if zf_members:
-        resampled = 0
-        try:
-            np.linalg.cholesky(gram)
-            diag_inv = np.diagonal(
-                np.linalg.inv(gram), axis1=1, axis2=2).real
-        except np.linalg.LinAlgError:
-            # rare path: locate the offending trials and redraw only those
-            diag_inv = np.empty((n, k))
-            for i in range(n):
-                diag_inv[i], extra = _zf_diag_inv_single(
-                    stream, lo + i, gram[i])
-                resampled += extra
-        for mem in zf_members:
-            mem.rates[lo:hi] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
-        resample_counts[slab_index] = resampled
+        if zf_members:
+            try:
+                np.linalg.cholesky(gram)
+                diag_inv = np.diagonal(
+                    np.linalg.inv(gram), axis1=1, axis2=2).real
+            except np.linalg.LinAlgError:
+                # rare path: locate the offending trials and redraw only those
+                diag_inv = np.empty((c, k))
+                for i in range(c):
+                    diag_inv[i], extra = _zf_diag_inv_single(
+                        stream, start + i, gram[i])
+                    resampled += extra
+            for mem in zf_members:
+                mem.rates[start:stop] = np.log2(
+                    1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
+    resample_counts[slab_index] = resampled
 
 
 def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:

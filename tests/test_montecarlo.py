@@ -283,6 +283,28 @@ class TestStreamedSlab:
         _assert_streamed_equals_whole_slab(monkeypatch, family)
         assert bound_gap_sweep(family)[0][1].resampled == 23
 
+    @pytest.mark.parametrize("m,k", [(6, 3), (17, 16), (64, 8)])
+    def test_singular_trials_fall_back_within_their_chunk(self, monkeypatch,
+                                                           m, k):
+        # 7-trial chunks: trial 0 opens a chunk, 10 sits inside one, 4095
+        # fills the first slab's last partial chunk, 4100 is in the second
+        # slab and 4132 is the run's last trial, in its last partial chunk
+        masked = {0, 10, _SLAB - 1, _SLAB + 4, _SLAB + 36}
+        orig = _ChannelStream.uniforms
+
+        def masked_uniforms(self, trial, resample=0, out=None):
+            u = orig(self, trial, resample, out)
+            if resample == 0 and trial in masked:
+                u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
+            return u
+
+        monkeypatch.setattr(mc._ChannelStream, "uniforms", masked_uniforms)
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * m * k * 7)
+        family = [cfg for cfg in _family(m, k, _SLAB + 37)
+                  if cfg.detector is ZF]
+        _assert_streamed_equals_whole_slab(monkeypatch, family)
+        assert bound_gap_sweep(family)[0][1].resampled == len(masked)
+
     def test_slab_memory_is_its_gram_not_its_channels(self):
         # whole-slab stages peaked at about 470 MB here; streamed, the
         # slab's Gram matrices and their ZF inverse dominate
@@ -295,3 +317,17 @@ class TestStreamedSlab:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_slab_memory_is_its_chunk_buffers(self):
+        # every stage runs per chunk, so the peak is the three ~1 MiB chunk
+        # buffers and a chunk of Gram matrices; one slab-sized (4096, 16, 16)
+        # array would take 16.8 MB on its own
+        family = [McConfig(m=128, k=16, gamma=0.1, detector=det,
+                           trials=_SLAB, seed=3) for det in (MRC, ZF)]
+        tracemalloc.start()
+        try:
+            bound_gap_sweep(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
