@@ -13,6 +13,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -350,8 +352,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # no O_TRUNC: on ext4 a truncated file's close() starts writeback
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # devices refuse ftruncate
+                fh.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
 

@@ -305,18 +305,19 @@ class TestStreamedSlab:
         _assert_streamed_equals_whole_slab(monkeypatch, family)
         assert bound_gap_sweep(family)[0][1].resampled == len(masked)
 
-    def test_slab_memory_is_its_gram_not_its_channels(self):
-        # whole-slab stages peaked at about 470 MB here; streamed, the
-        # slab's Gram matrices and their ZF inverse dominate
+    def test_slab_memory_per_worker_at_two_threads(self):
+        # two workers each stream one slab at once, so the peak is two sets
+        # of chunk buffers: 8 MB a worker, where one slab-sized Gram with
+        # ZF's factor and inverse would take about 40 MB
         family = [McConfig(m=128, k=16, gamma=0.1, detector=det,
-                           trials=_SLAB, seed=3) for det in (MRC, ZF)]
+                           trials=2 * _SLAB, seed=3) for det in (MRC, ZF)]
         tracemalloc.start()
         try:
-            bound_gap_sweep(family)
+            bound_gap_sweep(family, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 16e6
 
     def test_slab_memory_is_its_chunk_buffers(self):
         # every stage runs per chunk, so the peak is the three ~1 MiB chunk

@@ -334,6 +334,23 @@ class TestCli:
         assert base == same
         assert base != other
 
+    def test_point_seed_wins_over_seed_flag(self, capsys, tmp_path):
+        # --seed replaces montecarlo.seed only; a point's own seed stays
+        cfg = {"montecarlo": {"trials": 400, "seed": 3, "points": [
+            {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc", "seed": 9},
+            {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc"}]}}
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(cfg))
+        _, base, _ = _run(capsys, "validate", "--config", str(path))
+        rc, flagged, _ = _run(capsys, "validate", "--config", str(path),
+                              "--seed", "4")
+        assert rc == 0
+        base_lines, flagged_lines = base.splitlines(), flagged.splitlines()
+        assert flagged_lines[1] == base_lines[1]
+        assert flagged_lines[2] != base_lines[2]
+        seeds = [row["seed"] for row in csv.DictReader(flagged_lines)]
+        assert seeds == ["9", "4"]
+
     def test_config_errors_exit_2(self, capsys, config_path, tmp_path):
         cases = [
             ("sweep", "--config", str(tmp_path / "missing.json")),
@@ -423,3 +440,108 @@ class TestCli:
             [sys.executable, "-m", "mimo_ee", "sweep", "--config", config_path],
             capture_output=True, text=True, check=True, env=env)
         assert proc.stdout == expected
+
+
+class TestOutFile:
+    """`--out` is overwritten in place, cut to the new table's length."""
+
+    def test_short_table_replaces_long_one(self, capsys, config_path,
+                                           tmp_path):
+        _, long_table, _ = _run(capsys, "optimize", "--config", config_path)
+        _, short_table, _ = _run(capsys, "thresholds", "--config",
+                                 config_path)
+        assert len(short_table) < len(long_table)
+        out_file = tmp_path / "table.csv"
+        for cmd in ("optimize", "thresholds"):
+            rc, out, _ = _run(capsys, cmd, "--config", config_path,
+                              "--out", str(out_file))
+            assert rc == 0 and out == ""
+        assert out_file.read_bytes() == short_table.encode("utf-8")
+
+    def test_existing_file_keeps_inode_links_and_mode(self, capsys,
+                                                      config_path, tmp_path):
+        out_file = tmp_path / "table.csv"
+        out_file.write_text("x" * 10_000)
+        out_file.chmod(0o640)
+        link = tmp_path / "link.csv"
+        os.link(out_file, link)
+        before = os.stat(out_file)
+        _, expected, _ = _run(capsys, "sweep", "--config", config_path)
+        rc, _, _ = _run(capsys, "sweep", "--config", config_path,
+                        "--out", str(out_file))
+        assert rc == 0
+        after = os.stat(out_file)
+        assert after.st_ino == before.st_ino
+        assert after.st_mode & 0o777 == 0o640
+        assert link.read_bytes() == expected.encode("utf-8")
+
+    def test_new_file_mode_follows_umask(self, capsys, config_path, tmp_path):
+        out_file = tmp_path / "new.csv"
+        old_mask = os.umask(0o027)
+        try:
+            rc, _, _ = _run(capsys, "thresholds", "--config", config_path,
+                            "--out", str(out_file))
+        finally:
+            os.umask(old_mask)
+        assert rc == 0
+        assert os.stat(out_file).st_mode & 0o777 == 0o640
+
+    def test_symlink_is_followed(self, capsys, config_path, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        _, expected, _ = _run(capsys, "thresholds", "--config", config_path)
+        rc, _, _ = _run(capsys, "thresholds", "--config", config_path,
+                        "--out", str(link))
+        assert rc == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected.encode("utf-8")
+
+    def test_device_is_written_without_cut(self, capsys, config_path):
+        rc, out, err = _run(capsys, "thresholds", "--config", config_path,
+                            "--out", os.devnull)
+        assert (rc, out, err) == (0, "", "")
+
+    def test_directory_exits_2(self, capsys, config_path, tmp_path):
+        rc, out, err = _run(capsys, "thresholds", "--config", config_path,
+                            "--out", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: config: cannot write {tmp_path}: ")
+
+    def test_numeric_failure_still_writes_out(self, capsys, tmp_path):
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                           "rho_s": 1.0},
+            "optimize": {"R": 2000.0}}))
+        argv = ("optimize", "--config", str(path), "--k-max", "1")
+        _, expected, _ = _run(capsys, *argv)
+        out_file = tmp_path / "table.csv"
+        rc, out, err = _run(capsys, *argv, "--out", str(out_file))
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: numeric: ")
+        assert out_file.read_bytes() == expected.encode("utf-8")
+        assert expected.startswith("R,detector,")
+
+    def test_out_is_opened_without_truncation(self, capsys, config_path,
+                                              tmp_path, monkeypatch):
+        # a truncating open makes ext4 write the file back on close
+        out_file = tmp_path / "table.csv"
+        out_file.write_text("old")
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out_file):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        rc, _, _ = _run(capsys, "thresholds", "--config", config_path,
+                        "--out", str(out_file))
+        assert rc == 0
+        assert len(flags) == 1
+        assert not flags[0] & os.O_TRUNC
