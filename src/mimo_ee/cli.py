@@ -272,7 +272,7 @@ def _cmd_thresholds(cfg: dict, args: argparse.Namespace):
         raise ConfigError(str(exc)) from exc
     record = threshold_record(theta)
     rc = 0
-    if record["r1"] is None:
+    if record[ERROR_COLUMN]:
         print(f"error: numeric: {record[ERROR_COLUMN]}", file=sys.stderr)
         rc = 3
     return [record], THRESHOLD_COLUMNS, rc

@@ -22,7 +22,7 @@ import numpy as np
 from .efficiency import (EfficiencyReport, _power_terms, _total_power,
                          evaluate_efficiency)
 from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
-from .relaxation import optimal_m
+from .relaxation import _require_rho_r, optimal_m
 from .units import SystemParams
 
 # hard stop for searches without k_max; the tail bound normally fires
@@ -155,9 +155,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     Without k_max the answer is certified by the tail bound; if the bound
     has not fired by K = 10 000 000 the search raises instead.
     """
-    if theta.rho_r <= 0:
-        raise ValueError(
-            "rho_r must be > 0: with free BS antennas the optimal M is unbounded")
+    _require_rho_r(theta)
     if k_max is None and theta.rho_d <= 0:
         raise ValueError(
             "optimum may lie at K -> inf: supply k_max or a positive rho_d")

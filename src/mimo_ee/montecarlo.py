@@ -10,18 +10,21 @@ Determinism contract: every trial draws its channel from a counter-based
 substream addressed by (seed, trial index, resample index), so results
 are bit-identical across runs, across thread counts, and between a
 standalone run and a member of a grouped sweep. Work is partitioned into
-fixed-size slabs of trials; the thread count only decides which worker
-handles a slab, never where slab boundaries fall.
+fixed-size slabs of trials, all run on one pool of `threads` workers (a
+single worker at threads=1); the thread count only decides which worker
+handles a slab, never where slab boundaries fall. A ZF trial whose Gram
+fails Cholesky is redrawn at (seed, trial, resample + 1) until it
+factors, and `resampled` counts those redraws.
 
 Inside a slab, trials stream through chunks of about 1 MiB of uniforms,
 which reuse four chunk buffers: the uniforms, the complex channels,
 their conjugates and their (k, k) Gram matrices. Every stage, from the
-draw to each member's per-trial rates, runs on one chunk at a time. A
-chunk only bounds how many trials are handled at once; it never moves a
-slab boundary, and every operation acts per trial or along a trial's own
-axes, so every result is the same for any chunk size. Memory per worker
-thread is the chunk buffers plus what one chunk's rates derive from the
-Gram, plus each member's per-trial rates.
+draw and any redraw to each member's per-trial rates, runs on one chunk
+at a time. A chunk only bounds how many trials are handled at once; it
+never moves a slab boundary, and every operation acts per trial or along
+a trial's own axes, so every result is the same for any chunk size.
+Memory per worker thread is the chunk buffers plus what one chunk's
+rates derive from the Gram, plus each member's per-trial rates.
 """
 
 from __future__ import annotations
@@ -61,14 +64,15 @@ class McConfig:
     def __post_init__(self) -> None:
         for name in ("m", "k", "trials"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.detector is Detector.ZF and self.m <= self.k:
             raise ValueError(
                 f"ZF needs m > k for an invertible bound, got m={self.m}, k={self.k}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_BOUND:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < _SEED_BOUND):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -100,18 +104,14 @@ class _ChannelStream:
         return self._gen.random(self._shape, out=out)
 
 
-def channel_from_uniforms(u: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+def channel_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Map uniforms of shape (..., 2, m, k) to CN(0, 1) matrices (..., m, k).
 
     Polar Box-Muller with the pair (radius, angle) per entry; each complex
     coefficient has unit total variance, i.e. 1/2 per real component.
-    With `out` (complex128, shape (..., m, k)) the matrices are written
-    there and u is overwritten as scratch; without it u is left intact.
+    The matrices are written to `out` (complex128, shape (..., m, k)) and
+    u is overwritten as scratch.
     """
-    if out is None:
-        u = u.copy()
-        out = np.empty(u.shape[:-3] + u.shape[-2:], dtype=np.complex128)
     radius, angle = u[..., 0, :, :], u[..., 1, :, :]
     np.subtract(1.0, radius, out=radius)
     np.log(radius, out=radius)
@@ -129,7 +129,8 @@ def channel_matrix(m: int, k: int, seed: int, trial: int,
                    resample: int = 0) -> np.ndarray:
     """The exact (m, k) channel draw that trial `trial` of a run would see."""
     return channel_from_uniforms(
-        _ChannelStream(seed, m, k).uniforms(trial, resample))
+        _ChannelStream(seed, m, k).uniforms(trial, resample),
+        np.empty((m, k), dtype=np.complex128))
 
 
 class _Member:
@@ -140,23 +141,18 @@ class _Member:
         self.rates = np.empty(cfg.trials)
 
 
-def _zf_diag_inv_single(stream: _ChannelStream, trial: int,
-                        gram: np.ndarray) -> tuple[np.ndarray, int]:
-    """Diagonal of the inverted Gram matrix, redrawing on rank deficiency."""
-    resamples = 0
-    while True:
-        try:
-            np.linalg.cholesky(gram)
-            return np.diagonal(np.linalg.inv(gram)).real.copy(), resamples
-        except np.linalg.LinAlgError:
-            resamples += 1
-            h = channel_from_uniforms(stream.uniforms(trial, resamples))
-            gram = h.conj().T @ h
+def _factors(gram: np.ndarray) -> bool:
+    """Whether every Gram matrix in `gram` is positive definite."""
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
-                  mrc_members: list[_Member], zf_members: list[_Member],
-                  resample_counts: np.ndarray, slab_index: int) -> None:
+                  mrc_members: list[_Member], zf_members: list[_Member]) -> int:
+    """Fill every member's rates for trials lo..hi-1; return ZF redraws."""
     n = hi - lo
     stream = _ChannelStream(seed, m, k)
     # a trial's uniforms take 2 m k doubles, 16 m k bytes
@@ -165,15 +161,21 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     h = np.empty((chunk, m, k), dtype=np.complex128)
     h_conj = np.empty_like(h)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
+
+    def draw(first: int, rows: slice, resample: int) -> np.ndarray:
+        """Draw trials first + i, i in rows, at `resample`; return their Grams."""
+        for i in range(rows.start, rows.stop):
+            stream.uniforms(first + i, resample, out=u[i])
+        channel_from_uniforms(u[rows], out=h[rows])
+        np.conjugate(h[rows], out=h_conj[rows])
+        return np.matmul(h_conj[rows].transpose(0, 2, 1), h[rows],
+                         out=gram_buf[rows])
+
     resampled = 0
     for a in range(0, n, chunk):
         c = min(chunk, n - a)
         start, stop = lo + a, lo + a + c
-        for i in range(c):
-            stream.uniforms(start + i, 0, out=u[i])
-        channel_from_uniforms(u[:c], out=h[:c])
-        np.conjugate(h[:c], out=h_conj[:c])
-        gram = np.matmul(h_conj[:c].transpose(0, 2, 1), h[:c], out=gram_buf[:c])
+        gram = draw(start, slice(0, c), 0)
 
         if mrc_members:
             d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
@@ -185,21 +187,19 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
 
         if zf_members:
-            try:
-                np.linalg.cholesky(gram)
-                diag_inv = np.diagonal(
-                    np.linalg.inv(gram), axis1=1, axis2=2).real
-            except np.linalg.LinAlgError:
-                # rare path: locate the offending trials and redraw only those
-                diag_inv = np.empty((c, k))
+            if not _factors(gram):
+                # rare path: redraw each singular trial in place until it factors
                 for i in range(c):
-                    diag_inv[i], extra = _zf_diag_inv_single(
-                        stream, start + i, gram[i])
-                    resampled += extra
+                    resample = 0
+                    while not _factors(gram[i]):
+                        resample += 1
+                        draw(start, slice(i, i + 1), resample)
+                    resampled += resample
+            diag_inv = np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real
             for mem in zf_members:
                 mem.rates[start:stop] = np.log2(
                     1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
-    resample_counts[slab_index] = resampled
+    return resampled
 
 
 def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
@@ -210,21 +210,12 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
     mrc_members = [x for x in members if x.cfg.detector is Detector.MRC]
     zf_members = [x for x in members if x.cfg.detector is Detector.ZF]
 
-    slabs = [(lo, min(lo + _SLAB, trials)) for lo in range(0, trials, _SLAB)]
-    resample_counts = np.zeros(len(slabs), dtype=np.int64)
-    if threads <= 1:
-        for idx, (lo, hi) in enumerate(slabs):
-            _process_slab(seed, m, k, lo, hi, mrc_members, zf_members,
-                          resample_counts, idx)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_process_slab, seed, m, k, lo, hi, mrc_members,
-                            zf_members, resample_counts, idx)
-                for idx, (lo, hi) in enumerate(slabs)]
-            for fut in futures:
-                fut.result()
-    zf_resampled = int(resample_counts.sum())
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [
+            pool.submit(_process_slab, seed, m, k, lo, min(lo + _SLAB, trials),
+                        mrc_members, zf_members)
+            for lo in range(0, trials, _SLAB)]
+        zf_resampled = sum(fut.result() for fut in futures)
 
     results = []
     for mem in members:
@@ -243,7 +234,7 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
 
 
 def _require_threads(threads: int) -> None:
-    if not isinstance(threads, int) or threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
 
 

@@ -10,11 +10,23 @@ import pytest
 import mimo_ee.montecarlo as mc
 from mimo_ee.link import Detector
 from mimo_ee.montecarlo import (_SLAB, McConfig, _ChannelStream,
-                                _zf_diag_inv_single, bound_gap_sweep,
-                                channel_from_uniforms, channel_matrix,
-                                simulate)
+                                bound_gap_sweep, channel_from_uniforms,
+                                channel_matrix, simulate)
 
 MRC, ZF = Detector.MRC, Detector.ZF
+
+
+def _mask_first_draws(monkeypatch, trials=None):
+    """Make the first draw of each trial (of every trial by default) singular."""
+    orig = _ChannelStream.uniforms
+
+    def masked(self, trial, resample=0, out=None):
+        u = orig(self, trial, resample, out)
+        if resample == 0 and (trials is None or trial in trials):
+            u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
+        return u
+
+    monkeypatch.setattr(mc._ChannelStream, "uniforms", masked)
 
 
 class TestDeterminism:
@@ -65,15 +77,10 @@ class TestChannelDraws:
     def test_uniform_mapping_shape_contract(self):
         u = _ChannelStream(3, 4, 2).uniforms(trial=0)
         assert u.shape == (2, 4, 2)
-        kept = u.copy()
-        h = channel_from_uniforms(u)
-        assert h.shape == (4, 2)
-        assert h.dtype == np.complex128
-        assert np.array_equal(u, kept)
-        # with out=, the same matrix lands there and u becomes scratch
+        # the matrix lands in out and u becomes scratch
         out = np.empty((4, 2), dtype=np.complex128)
         assert channel_from_uniforms(u, out=out) is out
-        assert np.array_equal(out, h)
+        assert np.array_equal(out, channel_matrix(4, 2, seed=3, trial=0))
 
     def test_buffered_words_do_not_leak_between_trials(self):
         # drawing trials in different orders must give the same matrices
@@ -115,25 +122,18 @@ class TestBoundMargins:
 
 
 class TestResamplePath:
-    def test_singular_gram_is_redrawn(self):
-        m, k, seed, trial = 6, 3, 9, 17
-        diag, resamples = _zf_diag_inv_single(
-            _ChannelStream(seed, m, k), trial, np.zeros((k, k)))
-        assert resamples == 1
-        h1 = channel_matrix(m, k, seed, trial, resample=1)
-        expect = np.diagonal(np.linalg.inv(h1.conj().T @ h1)).real
-        assert np.array_equal(diag, expect)
+    def test_singular_gram_is_redrawn(self, monkeypatch):
+        m, k, seed, gamma = 6, 3, 9, 0.5
+        _mask_first_draws(monkeypatch)
+        res = simulate(McConfig(m=m, k=k, gamma=gamma, detector=ZF,
+                                trials=1, seed=seed))
+        assert res.resampled == 1
+        h1 = channel_matrix(m, k, seed, 0, resample=1)
+        diag = np.diagonal(np.linalg.inv(h1.conj().T @ h1)).real
+        assert res.empirical_rate == float(np.log2(1.0 + gamma / diag).sum())
 
     def test_rank_deficient_batch_falls_back_per_trial(self, monkeypatch):
-        orig = _ChannelStream.uniforms
-
-        def masked(self, trial, resample=0, out=None):
-            u = orig(self, trial, resample, out)
-            if resample == 0:
-                u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
-            return u
-
-        monkeypatch.setattr(mc._ChannelStream, "uniforms", masked)
+        _mask_first_draws(monkeypatch)
         res = simulate(McConfig(m=6, k=3, gamma=0.5, detector=ZF,
                                 trials=64, seed=2))
         assert res.resampled == 64
@@ -161,12 +161,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="m"):
             McConfig(m=4.0, k=2, gamma=0.5, detector=MRC)
 
+    @pytest.mark.parametrize("name", ["m", "k", "trials", "seed"])
+    def test_bools_are_not_integers(self, name):
+        fields = dict(m=4, k=2, trials=10, seed=1)
+        fields[name] = name != "seed"  # True for counts, False for the seed
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            McConfig(gamma=0.5, detector=MRC, **fields)
+
     def test_thread_count_rejections(self):
         cfg = McConfig(m=4, k=2, gamma=0.5, detector=MRC, trials=10)
         with pytest.raises(ValueError, match="threads"):
             simulate(cfg, threads=0)
         with pytest.raises(ValueError, match="threads"):
             bound_gap_sweep([cfg], threads=-1)
+        with pytest.raises(ValueError, match="threads"):
+            simulate(cfg, threads=True)
+        with pytest.raises(ValueError, match="threads"):
+            bound_gap_sweep([cfg], threads=True)
 
     def test_sweep_requires_configs(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -185,24 +196,40 @@ class TestValidation:
         assert swept[0][1] == swept[3][1]
 
 
-def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members,
-                          resample_counts, slab_index):
+def _box_muller_gram(u):
+    radius = np.sqrt(-np.log(1.0 - u[..., 0, :, :]))
+    angle = 2.0 * math.pi * u[..., 1, :, :]
+    h = np.empty(radius.shape, dtype=np.complex128)
+    h.real = radius * np.cos(angle)
+    h.imag = radius * np.sin(angle)
+    return np.matmul(h.conj().swapaxes(-1, -2), h)
+
+
+def _redrawn_diag_inv(stream, trial, gram):
+    """Diagonal of the inverted Gram matrix, redrawing on rank deficiency."""
+    resamples = 0
+    while True:
+        try:
+            np.linalg.cholesky(gram)
+            return np.diagonal(np.linalg.inv(gram)).real.copy(), resamples
+        except np.linalg.LinAlgError:
+            resamples += 1
+            gram = _box_muller_gram(stream.uniforms(trial, resamples))
+
+
+def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members):
     """The slab body before chunking: each stage on the whole slab at once.
 
     The reference for the streamed slab, with Box-Muller spelled out as it
-    was, so it shares no chunk or buffer logic with the code under test.
+    was and its own per-trial redraw, so it shares no chunk, buffer or
+    redraw logic with the code under test. Returns the ZF redraw count.
     """
     n = hi - lo
     stream = _ChannelStream(seed, m, k)
     u = np.empty((n, 2, m, k))
     for i in range(n):
         stream.uniforms(lo + i, 0, out=u[i])
-    radius = np.sqrt(-np.log(1.0 - u[..., 0, :, :]))
-    angle = 2.0 * math.pi * u[..., 1, :, :]
-    h = np.empty(radius.shape, dtype=np.complex128)
-    h.real = radius * np.cos(angle)
-    h.imag = radius * np.sin(angle)
-    gram = np.matmul(h.conj().transpose(0, 2, 1), h)
+    gram = _box_muller_gram(u)
 
     if mrc_members:
         d = np.diagonal(gram, axis1=1, axis2=2).real
@@ -213,8 +240,8 @@ def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members,
             sinr = (g * d * d) / (g * cross + d)
             mem.rates[lo:hi] = np.log2(1.0 + sinr).sum(axis=1)
 
+    resampled = 0
     if zf_members:
-        resampled = 0
         try:
             np.linalg.cholesky(gram)
             diag_inv = np.diagonal(
@@ -222,12 +249,11 @@ def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members,
         except np.linalg.LinAlgError:
             diag_inv = np.empty((n, k))
             for i in range(n):
-                diag_inv[i], extra = _zf_diag_inv_single(
-                    stream, lo + i, gram[i])
+                diag_inv[i], extra = _redrawn_diag_inv(stream, lo + i, gram[i])
                 resampled += extra
         for mem in zf_members:
             mem.rates[lo:hi] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
-        resample_counts[slab_index] = resampled
+    return resampled
 
 
 def _family(m, k, trials, seed=13):
@@ -267,15 +293,7 @@ class TestStreamedSlab:
                 monkeypatch, _family(128, 16, trials))
 
     def test_rank_deficient_fallback(self, monkeypatch):
-        orig = _ChannelStream.uniforms
-
-        def masked(self, trial, resample=0, out=None):
-            u = orig(self, trial, resample, out)
-            if resample == 0:
-                u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
-            return u
-
-        monkeypatch.setattr(mc._ChannelStream, "uniforms", masked)
+        _mask_first_draws(monkeypatch)
         monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * 6 * 3 * 7)
         # MRC is left out: its zero-norm user makes every rate NaN
         family = [cfg for cfg in _family(6, 3, 7 * 3 + 2)
@@ -290,15 +308,7 @@ class TestStreamedSlab:
         # fills the first slab's last partial chunk, 4100 is in the second
         # slab and 4132 is the run's last trial, in its last partial chunk
         masked = {0, 10, _SLAB - 1, _SLAB + 4, _SLAB + 36}
-        orig = _ChannelStream.uniforms
-
-        def masked_uniforms(self, trial, resample=0, out=None):
-            u = orig(self, trial, resample, out)
-            if resample == 0 and trial in masked:
-                u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
-            return u
-
-        monkeypatch.setattr(mc._ChannelStream, "uniforms", masked_uniforms)
+        _mask_first_draws(monkeypatch, masked)
         monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * m * k * 7)
         family = [cfg for cfg in _family(m, k, _SLAB + 37)
                   if cfg.detector is ZF]

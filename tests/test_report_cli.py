@@ -1,6 +1,7 @@
 """Tabular reports and the command-line frontend."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -402,6 +403,22 @@ class TestCli:
         assert err.startswith("error: numeric: ")
         assert out.startswith("R,detector,")  # table still emitted
 
+    def test_unmet_hypotheses_exit_3_but_emit_table(self, capsys, tmp_path):
+        # R = 5 is below max(r1, r2) at this profile: thresholds are
+        # computed but the efficiency cap's hypotheses do not hold
+        cfg = {"normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                              "rho_s": 1.0},
+               "thresholds": {"R": 5.0}}
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = _run(capsys, "thresholds", "--config", str(path))
+        record = threshold_record(SystemParams(R=5.0, alpha=2.0, rho_r=1.0,
+                                               rho_d=1.0, rho_s=1.0))
+        assert rc == 3
+        assert err == f"error: numeric: {record['error']}\n"
+        assert "hypotheses unmet" in err
+        assert out == render_csv([record], THRESHOLD_COLUMNS)
+
     def test_bad_flag_exits_2(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", config_path, "--threads", "0"])
@@ -545,3 +562,34 @@ class TestOutFile:
         assert rc == 0
         assert len(flags) == 1
         assert not flags[0] & os.O_TRUNC
+
+
+def _load_benchmark_tracing(monkeypatch):
+    """perfbench/tracing.py as it stands, imported without a bytecode cache."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracePoints:
+    def test_every_boundary_exists(self, capsys, monkeypatch, config_path):
+        # the benchmark's tracer wraps functions by module and name, so a
+        # renamed or removed boundary would only print "not traced" there
+        tracing = _load_benchmark_tracing(monkeypatch)
+        runs = [("optimize",), ("sweep",), ("breakdown",), ("trajectory",),
+                ("validate", "--threads", "2"), ("thresholds",),
+                ("thresholds", "--format", "json")]
+        with tracing.Tracer() as tracer:
+            for request, (cmd, *flags) in enumerate(runs):
+                argv = [cmd, "--config", config_path, *flags]
+                assert tracer.call_request(request, main, argv) == 0, argv
+        capsys.readouterr()
+        assert tracer.absent == []
+        metrics = tracing.layer_metrics(tracer)
+        assert metrics["cli.busy_s"][0] > 0
+        assert metrics["montecarlo.slabs"][0] == 1  # the pool's slab is seen
+        assert metrics["montecarlo.draws"][0] == 400
