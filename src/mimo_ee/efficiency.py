@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .link import AntennaConfig, Detector, _snr, gamma_required
+from .link import AntennaConfig, Detector, gamma_required
 from .units import SystemParams
 
 
@@ -47,20 +47,6 @@ def _power_terms(m: float, k: float, gamma: float, theta: SystemParams
     return power_pa, power_bs, power_users, theta.rho_s, total
 
 
-def _zeta_in_range(zeta: float) -> bool:
-    return math.isfinite(zeta) and zeta >= sys.float_info.min
-
-
-def _total_power(m: float, k: float, theta: SystemParams,
-                 det: Detector) -> float:
-    """evaluate_efficiency's total power from bare floats, without objects.
-
-    Returns +inf wherever evaluate_efficiency would raise.
-    """
-    total = _power_terms(m, k, _snr(m, k, theta.R, det), theta)[4]
-    return total if _zeta_in_range(theta.R / total) else math.inf
-
-
 def evaluate_efficiency(cfg: AntennaConfig, theta: SystemParams,
                         det: Detector) -> EfficiencyReport:
     """Evaluate zeta and its budget at a feasible design point.
@@ -72,7 +58,7 @@ def evaluate_efficiency(cfg: AntennaConfig, theta: SystemParams,
     power_pa, power_bs, power_users, power_residual, total = _power_terms(
         cfg.M, cfg.K, gamma, theta)
     zeta = theta.R / total
-    if not _zeta_in_range(zeta):
+    if not (math.isfinite(zeta) and zeta >= sys.float_info.min):
         raise EfficiencyRangeError(
             f"zeta out of double range at M={cfg.M}, K={cfg.K}: "
             f"total power {total!r}")

@@ -6,23 +6,24 @@ The search scans K upward in numpy blocks that double in size. A
 rate-aware lower bound on the power of every larger K ends the scan at
 the first K whose bound reaches the best power below it, exactly where a
 one-K-at-a-time loop would stop, so no externally supplied cap is needed.
-The block kernel's powers equal `_best_m_for_k`'s bit for bit; only the
-winning K goes back through `_best_m_for_k`, for its exact integer M.
+One kernel, `_block_powers`, ranks the candidates of every K and gives
+the winner's M as an exact integer, so only the winning design is built
+into an `EfficiencyReport`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .efficiency import (EfficiencyReport, _power_terms, _total_power,
-                         evaluate_efficiency)
+from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
 from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
-from .relaxation import _require_rho_r, optimal_m
+from .relaxation import _require_rho_r
 from .units import SystemParams
 
 # hard stop for searches without k_max; the tail bound normally fires
@@ -50,41 +51,19 @@ class Optimum:
         return self.report.total_power
 
 
-def _best_m_for_k(k: int, theta: SystemParams,
-                  det: Detector) -> tuple[float, int]:
-    """Least total power at integer K = k and the smallest M attaining it.
+def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
+                  ) -> tuple[np.ndarray, Callable[[int], int]]:
+    """Least total power at every K in the float array ks, and its M.
 
-    The power is +inf when no M reaches the rate with finite power.
-    """
-    if theta.R / k >= _EXP2_OVERFLOW:
-        return math.inf, 0
-    if det is Detector.ZF:
-        m_lo = k + 1
-    else:
-        # MRC needs M - 1 > (K-1)(2^(R/K) - 1)
-        boundary = (k - 1) * (2.0 ** (theta.R / k) - 1.0)
-        if boundary == math.inf:
-            return math.inf, 0
-        m_lo = math.floor(boundary) + 2
-    m_cont = optimal_m(theta, float(k), det)
-    if math.isfinite(m_cont):
-        candidates = (max(m_lo, math.floor(m_cont)),
-                      max(m_lo, math.ceil(m_cont)))
-    else:
-        candidates = (m_lo, m_lo + 1)
-    return min((_total_power(float(m), float(k), theta, det), m)
-               for m in candidates)
-
-
-def _block_powers(ks: np.ndarray, theta: SystemParams,
-                  det: Detector) -> np.ndarray:
-    """`_best_m_for_k`'s power for every K in the float array ks.
-
-    Each line repeats the scalar path's operations in its order (through
-    `optimal_m`, `link._snr` and `efficiency._total_power`), so every entry
-    equals the scalar power bit for bit. numpy's own power differs from
-    the C library's in the last bit on some arguments, so 2^(R/K) is
-    taken from math.pow.
+    Per K the candidates are the floor and ceiling of `optimal_m`'s
+    continuous optimum, clamped to the least feasible M (K + 1 for ZF,
+    floor(boundary) + 2 for MRC), or that M and the next where the
+    optimum is not finite. Each power repeats `evaluate_efficiency`'s
+    operations in its order, so it equals that function's total power bit
+    for bit, and is +inf where it would raise. numpy's own power differs
+    from the C library's in the last bit on some arguments, so 2^(R/K) is
+    taken from math.pow. best_m(i) is the least M attaining a finite
+    powers[i], as an exact int also past 2^53.
     """
     x = theta.R / ks
     reachable = x < _EXP2_OVERFLOW
@@ -116,7 +95,18 @@ def _block_powers(ks: np.ndarray, theta: SystemParams,
                                m_lo))
         upper = total(np.where(finite, np.maximum(m_lo, np.ceil(m_cont)),
                                m_next))
-    return np.where(reachable, np.minimum(lower, upper), math.inf)
+
+    def best_m(i: int) -> int:
+        # float(m_lo) rounds past 2^53, so the clamp is rebuilt as an int;
+        # a tie goes to the lower candidate, which is never the larger M
+        k, upper_wins = int(ks[i]), bool(upper[i] < lower[i])
+        m_min = k + 1 if det is Detector.ZF else math.floor(boundary[i]) + 2
+        if not finite[i]:
+            return m_min + upper_wins
+        rounded = math.ceil(m_cont[i]) if upper_wins else math.floor(m_cont[i])
+        return max(m_min, rounded)
+
+    return np.where(reachable, np.minimum(lower, upper), math.inf), best_m
 
 
 def _tail_lower_bound(k: int | np.ndarray, theta: SystemParams,
@@ -144,6 +134,12 @@ def _tail_lower_bound(k: int | np.ndarray, theta: SystemParams,
     return bound * (1.0 - 1e-12)
 
 
+def _require_k_max(k_max: int | None) -> None:
+    if k_max is not None and (isinstance(k_max, bool)
+                              or not isinstance(k_max, int) or k_max < 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+
+
 def optimize_exact(theta: SystemParams, det: Detector, *,
                    k_max: int | None = None) -> Optimum:
     """Find the integer (M, K) maximizing energy efficiency.
@@ -159,16 +155,15 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     if k_max is None and theta.rho_d <= 0:
         raise ValueError(
             "optimum may lie at K -> inf: supply k_max or a positive rho_d")
-    if k_max is not None and k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
+    _require_k_max(k_max)
 
     k_ceiling = k_max if k_max is not None else _K_CEILING
-    power_star, k_star = math.inf, 0
+    power_star, k_star, m_star = math.inf, 0, 0
     pruned_at: int | None = None
     k_lo, size = 1, _FIRST_BLOCK
     while pruned_at is None and k_lo <= k_ceiling:
         ks = np.arange(k_lo, min(k_lo + size, k_ceiling + 1), dtype=float)
-        powers = _block_powers(ks, theta, det)
+        powers, best_m = _block_powers(ks, theta, det)
         # best power over all K below each entry, the incumbent included
         best_below = np.minimum.accumulate(
             np.concatenate(([power_star], powers[:-1])))
@@ -181,7 +176,8 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
         if powers.size:
             i = int(np.argmin(powers))
             if powers[i] < power_star:
-                power_star, k_star = float(powers[i]), k_lo + i
+                power_star, k_star, m_star = (float(powers[i]), k_lo + i,
+                                              best_m(i))
         if (power_star == math.inf and theta.R < ks[-1]
                 and math.pow(2.0, theta.R / ks[-1]) == 1.0):
             # 2^(R/K) - 1 is 0 here and, as R/K falls, at every larger K:
@@ -198,7 +194,6 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
         raise ValueError(
             f"exact search reached K = {_K_CEILING} before its tail bound "
             "certified the optimum: supply k_max")
-    m_star = _best_m_for_k(k_star, theta, det)[1]
     report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det,

@@ -48,7 +48,7 @@ class AntennaConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 1):
                 raise ValueError(f"{name} must be finite and >= 1, got {v!r}")
-            if not self.relaxed and float(v) != int(v):
+            if not self.relaxed and v != int(v):
                 raise ValueError(f"{name} must be an integer in exact mode, got {v!r}")
             object.__setattr__(self, name, float(v))
 
@@ -65,23 +65,6 @@ def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
     return cfg.M - 1.0 > boundary
 
 
-def _snr(m: float, k: float, rate: float, det: Detector) -> float:
-    """gamma_required from bare floats, without validation.
-
-    Returns +inf for both failures gamma_required reports: a rate the
-    design cannot reach, and a power beyond double range.
-    """
-    e = exp2_sat(rate / k) - 1.0
-    if det is Detector.ZF:
-        denom = m - k
-    else:
-        denom = m - 1.0 - (0.0 if k == 1 else (k - 1.0) * e)
-    if not denom > 0:
-        return math.inf
-    gamma = e / denom
-    return gamma if 0.0 < gamma < math.inf else math.inf
-
-
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
     """Normalized per-user transmit SNR needed to reach the sum rate.
 
@@ -92,8 +75,14 @@ def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
         raise InfeasibleError(
             f"rate {rate} unachievable at any transmit power "
             f"for M={cfg.M}, K={cfg.K} with {det.value}")
-    gamma = _snr(cfg.M, cfg.K, rate, det)
-    if gamma == math.inf:
+    e = exp2_sat(rate / cfg.K) - 1.0
+    if det is Detector.ZF:
+        denom = cfg.M - cfg.K
+    else:
+        denom = cfg.M - 1.0 - (0.0 if cfg.K == 1 else (cfg.K - 1.0) * e)
+    # denom > 0 on a feasible design; gamma is 0 where 2^(R/K) rounds to 1
+    gamma = e / denom
+    if not 0.0 < gamma < math.inf:
         raise InfeasibleError(
             f"required transmit power overflows double range "
             f"for M={cfg.M}, K={cfg.K}, rate {rate} with {det.value}")

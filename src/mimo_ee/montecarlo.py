@@ -69,7 +69,8 @@ class McConfig:
         if self.detector is Detector.ZF and self.m <= self.k:
             raise ValueError(
                 f"ZF needs m > k for an invertible bound, got m={self.m}, k={self.k}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
+        if isinstance(self.gamma, bool) or not (
+                math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
                 or not 0 <= self.seed < _SEED_BOUND):

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .asymptotics import TrajectorySpec, trajectory_limit, trajectory_point, \
     thresholds as rate_thresholds, mrc_upper_bound_check, trajectory_zeta
-from .integer_opt import optimize_exact
+from .integer_opt import _require_k_max, optimize_exact
 from .link import Detector
 from .montecarlo import McConfig, bound_gap_sweep
 from .relaxation import RelaxedOptimum, minimize_relaxed
@@ -88,8 +88,7 @@ class SweepSpec:
                 math.isfinite(self.trajectory_c) and self.trajectory_c > 0):
             raise ValueError(
                 f"trajectory_c must be finite and > 0, got {self.trajectory_c!r}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
+        _require_k_max(self.k_max)
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:

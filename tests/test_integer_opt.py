@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.integer_opt import (Optimum, _best_m_for_k, _block_powers,
-                                 _tail_lower_bound, optimize_exact)
+from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
+from mimo_ee.integer_opt import (Optimum, _block_powers, _tail_lower_bound,
+                                 optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -20,6 +20,47 @@ MRC, ZF = Detector.MRC, Detector.ZF
 
 def _theta(R=4.0, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0):
     return SystemParams(R=R, alpha=alpha, rho_r=rho_r, rho_d=rho_d, rho_s=rho_s)
+
+
+def _total_power(m, k, theta, det):
+    """evaluate_efficiency's total power at (m, k), +inf where it raises."""
+    try:
+        cfg = AntennaConfig(M=m, K=k)
+        return evaluate_efficiency(cfg, theta, det).total_power
+    except (InfeasibleError, EfficiencyRangeError):
+        return math.inf
+
+
+def _best_m_for_k(k, theta, det):
+    """Least total power at integer K = k and the smallest M attaining it.
+
+    The scalar oracle for the block kernel: one K at a time, exact Python
+    ints throughout, candidates ranked through the public API only. The
+    power is +inf (and M is 0) when no M reaches the rate with finite power.
+    """
+    if theta.R / k >= 1024.0:
+        return math.inf, 0
+    if det is ZF:
+        m_lo = k + 1
+    else:
+        # MRC needs M - 1 > (K-1)(2^(R/K) - 1)
+        boundary = (k - 1) * (2.0 ** (theta.R / k) - 1.0)
+        if boundary == math.inf:
+            return math.inf, 0
+        m_lo = math.floor(boundary) + 2
+    m_cont = optimal_m(theta, float(k), det)
+    if math.isfinite(m_cont):
+        candidates = (max(m_lo, math.floor(m_cont)),
+                      max(m_lo, math.ceil(m_cont)))
+    else:
+        candidates = (m_lo, m_lo + 1)
+    return min((_total_power(m, k, theta, det), m) for m in candidates)
+
+
+def _kernel_at(k, theta, det):
+    """The block kernel's power and M at the single user count k."""
+    powers, best_m = _block_powers(np.array([float(k)]), theta, det)
+    return float(powers[0]), best_m(0)
 
 
 def _power_over_m(theta, det, k, mm):
@@ -98,7 +139,7 @@ class TestAgainstBruteForce:
                 rho_d=float(10.0 ** rng.uniform(-2, 2)),
                 rho_s=float(10.0 ** rng.uniform(-2, 2)))
             det = MRC if rng.integers(2) == 0 else ZF
-            power, m = _best_m_for_k(k, theta, det)
+            power, m = _kernel_at(k, theta, det)
             assert math.isfinite(power)
             m_cont = optimal_m(theta, float(k), det)
             m_hi = max(int(math.ceil(4.0 * m_cont)), m + 50)
@@ -206,18 +247,22 @@ class TestErrors:
             optimize_exact(_theta(rho_r=0.0), MRC)
         with pytest.raises(ValueError, match="k_max"):
             optimize_exact(_theta(rho_d=0.0), MRC)
-        with pytest.raises(ValueError, match="k_max"):
-            optimize_exact(_theta(), MRC, k_max=0)
+        for k_max in (0, True, 2.5, 3.0):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                optimize_exact(_theta(), MRC, k_max=k_max)
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                SweepSpec(r_values=(4.0,), theta_base=PowerProfile(
+                    alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0), k_max=k_max)
 
     def test_min_feasible_m_exact_integer_boundary(self):
         # R = 12, K = 3: four bits per user, boundary 2*(2^4-1) = 30, so
         # the smallest workable M is 32 and M = 31 sits exactly on the
         # infeasible boundary; costly antennas push the search onto it
         theta = _theta(R=12.0, rho_r=1e6)
-        assert _best_m_for_k(3, theta, MRC)[1] == 32
+        assert _kernel_at(3, theta, MRC)[1] == 32
         assert not is_feasible(AntennaConfig(M=31, K=3), 12.0, MRC)
         assert is_feasible(AntennaConfig(M=32, K=3), 12.0, MRC)
-        assert _best_m_for_k(3, theta, ZF)[1] == 4
+        assert _kernel_at(3, theta, ZF)[1] == 4
 
 
 # (R, alpha, rho_r, rho_d, rho_s), detector, k_max ->
@@ -372,8 +417,23 @@ class TestBlockScan:
             det = MRC if i % 2 else ZF
             k0 = int(rng.integers(1, 3000))
             ks = np.arange(k0, k0 + 300, dtype=float)
-            want = [_best_m_for_k(k, theta, det)[0] for k in range(k0, k0 + 300)]
-            assert _block_powers(ks, theta, det).tolist() == want, (theta, det)
+            want = [_best_m_for_k(k, theta, det) for k in range(k0, k0 + 300)]
+            powers, best_m = _block_powers(ks, theta, det)
+            assert powers.tolist() == [p for p, _ in want], (theta, det)
+            finite = [i for i, (p, _) in enumerate(want) if p < math.inf]
+            assert [best_m(i) for i in finite] == [want[i][1] for i in finite], \
+                (theta, det)
+
+    def test_clamped_m_past_2_54_is_exact(self):
+        # MRC's least feasible M, floor(boundary) + 2, has no float here:
+        # float(M) rounds it up by 2, and that M wins at K = 5
+        theta = _theta(R=261.533, rho_r=5.57e16)
+        m_star = 22280019290633006
+        assert int(float(m_star)) == m_star + 2
+        assert _best_m_for_k(5, theta, MRC) == (1.2409970744882586e+33, m_star)
+        assert _kernel_at(5, theta, MRC) == (1.2409970744882586e+33, m_star)
+        got = optimize_exact(theta, MRC, k_max=5)
+        assert (got.m_star, got.k_star) == (m_star, 5)
 
     def test_matches_the_sequential_loop(self):
         for theta, det, k_max in _reference_corpus():

@@ -18,6 +18,12 @@ class TestAntennaConfig:
         with pytest.raises(ValueError, match="integer"):
             AntennaConfig(M=4, K=1.5)
 
+    def test_exact_mode_accepts_ints_without_a_float(self):
+        # 2^53 + 1 and 2^60 + 1 are integers no double holds; each count
+        # is stored as its nearest double
+        cfg = AntennaConfig(M=2 ** 53 + 1, K=2 ** 60 + 1)
+        assert (cfg.M, cfg.K) == (2.0 ** 53, 2.0 ** 60)
+
     def test_relaxed_mode_accepts_reals(self):
         cfg = AntennaConfig(M=2.5, K=1.25, relaxed=True)
         assert (cfg.M, cfg.K) == (2.5, 1.25)

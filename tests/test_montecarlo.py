@@ -161,12 +161,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="m"):
             McConfig(m=4.0, k=2, gamma=0.5, detector=MRC)
 
-    @pytest.mark.parametrize("name", ["m", "k", "trials", "seed"])
+    @pytest.mark.parametrize("name", ["m", "k", "trials", "seed", "gamma"])
     def test_bools_are_not_integers(self, name):
-        fields = dict(m=4, k=2, trials=10, seed=1)
-        fields[name] = name != "seed"  # True for counts, False for the seed
+        fields = dict(m=4, k=2, trials=10, seed=1, gamma=0.5)
+        fields[name] = name != "seed"  # True, or False for the seed
         with pytest.raises(ValueError, match=f"{name} must be"):
-            McConfig(gamma=0.5, detector=MRC, **fields)
+            McConfig(detector=MRC, **fields)
 
     def test_thread_count_rejections(self):
         cfg = McConfig(m=4, k=2, gamma=0.5, detector=MRC, trials=10)
