@@ -121,6 +121,75 @@ class TestBoundMargins:
         assert math.isfinite(res.empirical_rate)
 
 
+# trapezoid nodes in v = ln s: e^{-s} is below 1e-23 past v = 4, and the
+# integrand is below g n e^{-60} before v = -60
+_LN_S = np.linspace(-60.0, 4.0, 4097)
+_S = np.exp(_LN_S)
+
+
+def _mean_log1p(g, n):
+    """E ln(1 + g X) in nats for X ~ Gamma(n, 1); 0 for n = 0.
+
+    Frullani's integral for ln(1 + a) averaged over X gives
+    E ln(1 + g X) = ∫ e^{-s} (1 - (1 + g s)^{-n}) ds / s over s > 0,
+    integrated by the trapezoid rule in v = ln s.
+    """
+    f = np.exp(-_S) * -np.expm1(-n * np.log1p(g * _S))
+    return float((_LN_S[1] - _LN_S[0]) * (f.sum() - 0.5 * (f[0] + f[-1])))
+
+
+def _exact_sum_rate(m, k, gamma, det):
+    """The ergodic sum rate in bits that the simulator estimates.
+
+    ZF: each user's SINR is gamma / [W^{-1}]_kk and 1 / [W^{-1}]_kk is
+    Gamma(m - k + 1). MRC: given h_k, SINR = gamma A / (gamma B + 1) with
+    independent A ~ Gamma(m) and B ~ Gamma(k - 1), and ln(1 + SINR) =
+    ln(1 + gamma (A + B)) - ln(1 + gamma B) with A + B ~ Gamma(m + k - 1).
+    """
+    if det is ZF:
+        nats = _mean_log1p(gamma, m - k + 1)
+    else:
+        nats = _mean_log1p(gamma, m + k - 1) - _mean_log1p(gamma, k - 1)
+    return k * nats / math.log(2.0)
+
+
+class TestExactOracle:
+    """The simulated mean against the exact ergodic rate, two-sided."""
+
+    @pytest.mark.parametrize("g,n", [(1e-6, 1), (0.05, 1), (0.2, 5),
+                                     (1.0, 16), (3.0, 63), (1e3, 200),
+                                     (1e8, 1e6)])
+    def test_quadrature_matches_adaptive_integration(self, g, n):
+        from scipy.integrate import quad
+
+        def integrand(v):   # the same integral in v = ln s, by another rule
+            return math.exp(-math.exp(v)) * -math.expm1(
+                -n * math.log1p(g * math.exp(v)))
+
+        want = sum(quad(integrand, a, b, limit=500, epsabs=0.0,
+                        epsrel=1e-12)[0]
+                   for a, b in ((-math.inf, -10.0), (-10.0, 0.0), (0.0, 6.0)))
+        assert _mean_log1p(g, n) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("m,k", [(4, 1), (8, 2), (12, 3), (16, 4),
+                                     (32, 4), (64, 8), (10, 7)])
+    def test_simulated_mean_matches_exact_rate(self, m, k):
+        family = [McConfig(m=m, k=k, gamma=g, detector=det, trials=20_000,
+                           seed=2027) for det in (MRC, ZF) for g in (0.05, 1.0)]
+        for cfg, res in bound_gap_sweep(family):
+            exact = _exact_sum_rate(m, k, cfg.gamma, cfg.detector)
+            assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth, cfg
+            assert exact > res.bound_rate   # the closed form is a lower bound
+
+    @pytest.mark.parametrize("m,k", [(2, 5), (1, 3)])
+    def test_mrc_with_fewer_antennas_than_users(self, m, k):
+        for g in (0.1, 2.0):
+            res = simulate(McConfig(m=m, k=k, gamma=g, detector=MRC,
+                                    trials=50_000, seed=31))
+            exact = _exact_sum_rate(m, k, g, MRC)
+            assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth
+
+
 class TestResamplePath:
     def test_singular_gram_is_redrawn(self, monkeypatch):
         m, k, seed, gamma = 6, 3, 9, 0.5
