@@ -24,8 +24,7 @@ from .efficiency import (EfficiencyRangeError, EfficiencyReport,
 from .integer_opt import Optimum, optimize_exact
 from .link import (AntennaConfig, Detector, InfeasibleError, gamma_required,
                    is_feasible, rate_achieved)
-from .montecarlo import (McConfig, McResult, bound_gap_sweep, channel_matrix,
-                         simulate)
+from .montecarlo import McConfig, McResult, bound_gap_sweep, simulate
 from .relaxation import (RelaxedOptimum, SolverDiag, minimize_relaxed,
                          optimal_m, reduced_power)
 from .report import (SweepSpec, sweep_records, trajectory_records,
@@ -40,7 +39,7 @@ __all__ = [
     "InfeasibleError", "McConfig", "McResult", "Optimum", "PhysicalParams",
     "PowerProfile", "RelaxedOptimum", "SolverDiag", "SweepSpec",
     "SystemParams", "Thresholds", "TrajectoryPoint", "TrajectorySpec",
-    "bound_gap_sweep", "channel_matrix", "denormalize_efficiency",
+    "bound_gap_sweep", "denormalize_efficiency",
     "evaluate_efficiency", "gamma_required", "is_feasible",
     "minimize_relaxed", "mrc_upper_bound_check",
     "normalize", "optimal_m", "optimize_exact", "profile_of",

@@ -46,7 +46,7 @@ class AntennaConfig:
     def __post_init__(self) -> None:
         for name in ("M", "K"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 1):
+            if isinstance(v, bool) or not (math.isfinite(v) and v >= 1):
                 raise ValueError(f"{name} must be finite and >= 1, got {v!r}")
             if not self.relaxed and v != int(v):
                 raise ValueError(f"{name} must be an integer in exact mode, got {v!r}")

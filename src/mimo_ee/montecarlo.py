@@ -6,25 +6,36 @@ the closed-form expressions used by the optimizer sit below the empirical
 mean (they are Jensen-style lower bounds, so the margin must be positive
 up to Monte-Carlo noise).
 
-Determinism contract: every trial draws its channel from a counter-based
-substream addressed by (seed, trial index, resample index), so results
-are bit-identical across runs, across thread counts, and between a
-standalone run and a member of a grouped sweep. Work is partitioned into
-fixed-size slabs of trials, all run on one pool of `threads` workers (a
-single worker at threads=1); the thread count only decides which worker
-handles a slab, never where slab boundaries fall. A ZF trial whose Gram
-fails Cholesky is redrawn at (seed, trial, resample + 1) until it
-factors, and `resampled` counts those redraws.
+Each trial needs only its Gram matrix W = H^H H, never the (m, k) channel
+H. The complex Bartlett decomposition draws W's factor directly:
+W = L L^H, with L lower-trapezoidal (k, min(m, k)), independent
+L_ii = sqrt(Gamma(m - i + 1, 1)) on the diagonal and L_ij ~ CN(0, 1)
+below it. That takes k (k + 1) / 2 variates a trial instead of m k, and
+L_ii > 0, so ZF's factor is never singular and nothing is redrawn;
+`resampled` stays 0.
 
-Inside a slab, trials stream through chunks of about 1 MiB of uniforms,
-which reuse four chunk buffers: the uniforms, the complex channels,
-their conjugates and their (k, k) Gram matrices. Every stage, from the
-draw and any redraw to each member's per-trial rates, runs on one chunk
-at a time. A chunk only bounds how many trials are handled at once; it
-never moves a slab boundary, and every operation acts per trial or along
-a trial's own axes, so every result is the same for any chunk size.
+Determinism contract: work is partitioned into fixed-size slabs of
+trials, all run on one pool of `threads` workers (a single worker at
+threads=1); the thread count only decides which worker handles a slab,
+never where slab boundaries fall. Each slab reads two counter-based
+Philox streams keyed by the seed, one for the Gamma draws and one for
+the uniforms that Box-Muller maps to L's off-diagonal entries; the
+stream kind and the slab index sit in the counter's high words. Each
+stream is read in trial order, so results are bit-identical across
+runs, across thread counts, and between a standalone run and a member
+of a grouped sweep. A trial is addressed only through its slab: trial t
+of a slab depends on the draws of the trials before it.
+
+Inside a slab, trials stream through chunks of 512 KiB of (k, k)
+complex matrices, which reuse the same buffers: the Gamma draws, the
+uniforms, L's off-diagonal entries, L, its conjugate and the Gram
+matrices. Every stage, from the draw to each member's per-trial rates,
+runs on one chunk at a time. A chunk only bounds how many trials are
+handled at once; it never moves a slab boundary, both streams are read
+element by element, and every other operation acts per trial or along a
+trial's own axes, so every result is the same for any chunk size.
 Memory per worker thread is the chunk buffers plus what one chunk's
-rates derive from the Gram, plus each member's per-trial rates.
+rates derive from L, plus each member's per-trial rates.
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ import numpy as np
 from .link import AntennaConfig, Detector, rate_achieved
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
-_CHUNK_BYTES = 1 << 20  # uniforms per chunk of a slab, sized to stay in L2 cache
+_CHUNK_BYTES = 1 << 19  # a chunk's (k, k) complex matrices; its buffers stay in L2
+_GAMMA, _UNIFORM = 0, 1  # a slab's two streams, by the variate kind they draw
 _Z95 = 1.96         # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi
 _SEED_BOUND = 2 ** 64
@@ -83,37 +95,18 @@ class McResult:
     ci_halfwidth: float     # 95% normal-approximation halfwidth
     bound_rate: float       # closed-form achievable rate at the same gamma
     margin: float           # empirical_rate - bound_rate
-    resampled: int = 0      # ZF trials redrawn after a singular Gram matrix
-
-
-class _ChannelStream:
-    """Per-worker channel source with one counter-block per (trial, resample)."""
-
-    def __init__(self, seed: int, m: int, k: int) -> None:
-        self._gen = np.random.Generator(np.random.Philox(key=seed))
-        self._shape = (2, m, k)
-        # one state dict, reused: each draw rewrites only its counter words,
-        # and buffer_pos = 4 discards any buffered words from a prior block
-        self._state = self._gen.bit_generator.state
-        self._state["buffer_pos"] = 4
-        self._counter = self._state["state"]["counter"]
-
-    def uniforms(self, trial: int, resample: int = 0,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        self._counter[:] = (0, resample, 0, trial)
-        self._gen.bit_generator.state = self._state
-        return self._gen.random(self._shape, out=out)
+    resampled: int = 0      # ZF redraws; the Bartlett factor never needs one
 
 
 def channel_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Map uniforms of shape (..., 2, m, k) to CN(0, 1) matrices (..., m, k).
+    """Map uniforms of shape (..., 2, n) to CN(0, 1) entries (..., n).
 
     Polar Box-Muller with the pair (radius, angle) per entry; each complex
     coefficient has unit total variance, i.e. 1/2 per real component.
-    The matrices are written to `out` (complex128, shape (..., m, k)) and
+    The entries are written to `out` (complex128, shape (..., n)) and
     u is overwritten as scratch.
     """
-    radius, angle = u[..., 0, :, :], u[..., 1, :, :]
+    radius, angle = u[..., 0, :], u[..., 1, :]
     np.subtract(1.0, radius, out=radius)
     np.log(radius, out=radius)
     np.negative(radius, out=radius)
@@ -126,12 +119,10 @@ def channel_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def channel_matrix(m: int, k: int, seed: int, trial: int,
-                   resample: int = 0) -> np.ndarray:
-    """The exact (m, k) channel draw that trial `trial` of a run would see."""
-    return channel_from_uniforms(
-        _ChannelStream(seed, m, k).uniforms(trial, resample),
-        np.empty((m, k), dtype=np.complex128))
+def _slab_stream(seed: int, kind: int, slab: int) -> np.random.Generator:
+    """The Philox stream of one variate kind in one slab."""
+    return np.random.Generator(
+        np.random.Philox(key=seed, counter=(0, 0, kind, slab)))
 
 
 class _Member:
@@ -142,43 +133,38 @@ class _Member:
         self.rates = np.empty(cfg.trials)
 
 
-def _factors(gram: np.ndarray) -> bool:
-    """Whether every Gram matrix in `gram` is positive definite."""
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
-                  mrc_members: list[_Member], zf_members: list[_Member]) -> int:
-    """Fill every member's rates for trials lo..hi-1; return ZF redraws."""
+                  mrc_members: list[_Member], zf_members: list[_Member]) -> None:
+    """Fill every member's rates for trials lo..hi-1."""
     n = hi - lo
-    stream = _ChannelStream(seed, m, k)
-    # a trial's uniforms take 2 m k doubles, 16 m k bytes
-    chunk = min(n, max(1, _CHUNK_BYTES // (16 * m * k)))
-    u = np.empty((chunk, 2, m, k))
-    h = np.empty((chunk, m, k), dtype=np.complex128)
-    h_conj = np.empty_like(h)
+    gammas = _slab_stream(seed, _GAMMA, lo // _SLAB)
+    uniforms = _slab_stream(seed, _UNIFORM, lo // _SLAB)
+    r = min(m, k)
+    shape = m - np.arange(r)                   # L_ii^2 ~ Gamma(m - i), i from 0
+    diag = np.arange(r)
+    rows, cols = np.tril_indices(k, -1, r)     # L's CN(0, 1) entries
+    # a trial's Gram takes k^2 complex doubles, 16 k^2 bytes
+    chunk = min(n, max(1, _CHUNK_BYTES // (16 * k * k)))
+    draws = np.empty((chunk, r))
+    u = np.empty((chunk, 2, rows.size))
+    z = np.empty((chunk, rows.size), dtype=np.complex128)
+    factor = np.zeros((chunk, k, r), dtype=np.complex128)
+    factor_conj = np.empty_like(factor)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
 
-    def draw(first: int, rows: slice, resample: int) -> np.ndarray:
-        """Draw trials first + i, i in rows, at `resample`; return their Grams."""
-        for i in range(rows.start, rows.stop):
-            stream.uniforms(first + i, resample, out=u[i])
-        channel_from_uniforms(u[rows], out=h[rows])
-        np.conjugate(h[rows], out=h_conj[rows])
-        return np.matmul(h_conj[rows].transpose(0, 2, 1), h[rows],
-                         out=gram_buf[rows])
-
-    resampled = 0
     for a in range(0, n, chunk):
         c = min(chunk, n - a)
         start, stop = lo + a, lo + a + c
-        gram = draw(start, slice(0, c), 0)
+        lower = factor[:c]
+        lower[:, diag, diag] = np.sqrt(
+            gammas.standard_gamma(shape, out=draws[:c]))
+        uniforms.random(out=u[:c])
+        lower[:, rows, cols] = channel_from_uniforms(u[:c], out=z[:c])
 
         if mrc_members:
+            np.conjugate(lower, out=factor_conj[:c])
+            gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
+                             out=gram_buf[:c])
             d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
             row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
             cross = row_power - d * d                         # interference power
@@ -188,19 +174,12 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
 
         if zf_members:
-            if not _factors(gram):
-                # rare path: redraw each singular trial in place until it factors
-                for i in range(c):
-                    resample = 0
-                    while not _factors(gram[i]):
-                        resample += 1
-                        draw(start, slice(i, i + 1), resample)
-                    resampled += resample
-            diag_inv = np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2).real
+            # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF
+            inv = np.linalg.inv(lower)
+            diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
             for mem in zf_members:
                 mem.rates[start:stop] = np.log2(
                     1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
-    return resampled
 
 
 def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
@@ -216,7 +195,8 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
             pool.submit(_process_slab, seed, m, k, lo, min(lo + _SLAB, trials),
                         mrc_members, zf_members)
             for lo in range(0, trials, _SLAB)]
-        zf_resampled = sum(fut.result() for fut in futures)
+        for fut in futures:
+            fut.result()
 
     results = []
     for mem in members:
@@ -229,8 +209,7 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
             empirical_rate=empirical,
             ci_halfwidth=_Z95 * spread / math.sqrt(trials),
             bound_rate=bound,
-            margin=empirical - bound,
-            resampled=zf_resampled if cfg.detector is Detector.ZF else 0))
+            margin=empirical - bound))
     return results
 
 

@@ -114,7 +114,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
         incumbent = reduced_power(k_seed, theta, det)
         k_cap = max(k_seed, math.ceil(incumbent / theta.rho_d))
     else:
-        if not (math.isfinite(k_max) and k_max >= 1):
+        if isinstance(k_max, bool) or not (math.isfinite(k_max) and k_max >= 1):
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
         k_cap = float(k_max)
 

@@ -33,6 +33,13 @@ class TestAntennaConfig:
         with pytest.raises(ValueError):
             AntennaConfig(M=m, K=k, relaxed=True)
 
+    @pytest.mark.parametrize("relaxed", [False, True])
+    @pytest.mark.parametrize("m,k,name", [(True, 1, "M"), (2, True, "K"),
+                                          (True, True, "M")])
+    def test_bools_are_not_counts(self, m, k, name, relaxed):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
+            AntennaConfig(M=m, K=k, relaxed=relaxed)
+
 
 class TestFeasibility:
     def test_single_user_boundary_term_vanishes(self):

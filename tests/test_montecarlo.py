@@ -1,5 +1,6 @@
-"""Channel simulation: determinism, bound margins, the resample path and
-the streamed slab."""
+"""Channel simulation: determinism, bound margins against the closed forms
+and the exact ergodic rate, and the Bartlett-factor slab against a
+per-trial reference."""
 
 import math
 import tracemalloc
@@ -9,24 +10,39 @@ import pytest
 
 import mimo_ee.montecarlo as mc
 from mimo_ee.link import Detector
-from mimo_ee.montecarlo import (_SLAB, McConfig, _ChannelStream,
-                                bound_gap_sweep, channel_from_uniforms,
-                                channel_matrix, simulate)
+from mimo_ee.montecarlo import (_SLAB, McConfig, bound_gap_sweep,
+                                channel_from_uniforms, simulate)
 
 MRC, ZF = Detector.MRC, Detector.ZF
 
 
-def _mask_first_draws(monkeypatch, trials=None):
-    """Make the first draw of each trial (of every trial by default) singular."""
-    orig = _ChannelStream.uniforms
+def _slab_streams(seed, slab):
+    """A slab's Gamma stream and uniform stream: Philox keyed by the seed,
+    the variate kind (0 Gamma, 1 uniform) and the slab in the counter's
+    high words."""
+    return [np.random.Generator(np.random.Philox(
+        key=seed, counter=(0, 0, kind, slab))) for kind in (0, 1)]
 
-    def masked(self, trial, resample=0, out=None):
-        u = orig(self, trial, resample, out)
-        if resample == 0 and (trials is None or trial in trials):
-            u[..., 0, :, -1] = 0.0  # zero radius wipes the last column
-        return u
 
-    monkeypatch.setattr(mc._ChannelStream, "uniforms", masked)
+def _reference_factor(gammas, uniforms, m, k):
+    """One trial's Bartlett factor L, (k, min(m, k)), drawn entry by entry.
+
+    L_ii^2 ~ Gamma(m - i) for i from 0, L_ij ~ CN(0, 1) below the diagonal
+    in row-major order, each from polar Box-Muller on a (radius, angle)
+    pair of uniforms: the trial's radii first, then its angles.
+    """
+    r = min(m, k)
+    below = [(i, j) for i in range(k) for j in range(min(i, r))]
+    lower = np.zeros((k, r), dtype=np.complex128)
+    for i in range(r):
+        lower[i, i] = math.sqrt(gammas.standard_gamma(m - i))
+    u = uniforms.random((2, len(below)))
+    radius = np.sqrt(-np.log(1.0 - u[0]))
+    angle = 2.0 * math.pi * u[1]
+    for (i, j), re, im in zip(below, radius * np.cos(angle),
+                              radius * np.sin(angle)):
+        lower[i, j] = complex(re, im)
+    return lower
 
 
 class TestDeterminism:
@@ -55,41 +71,71 @@ class TestDeterminism:
 
 
 class TestChannelDraws:
-    def test_trial_and_resample_address_disjoint_draws(self):
-        h00 = channel_matrix(6, 3, seed=5, trial=0)
-        assert np.array_equal(channel_matrix(6, 3, seed=5, trial=0), h00)
-        assert not np.array_equal(channel_matrix(6, 3, seed=5, trial=1), h00)
-        assert not np.array_equal(
-            channel_matrix(6, 3, seed=5, trial=0, resample=1), h00)
-        assert not np.array_equal(channel_matrix(6, 3, seed=6, trial=0), h00)
+    def test_slab_and_kind_address_disjoint_streams(self):
+        def first(seed, kind, slab):
+            return mc._slab_stream(seed, kind, slab).random(8)
+
+        base = first(5, mc._GAMMA, 0)
+        assert np.array_equal(first(5, mc._GAMMA, 0), base)
+        for other in (first(5, mc._UNIFORM, 0), first(5, mc._GAMMA, 1),
+                      first(6, mc._GAMMA, 0)):
+            assert not np.array_equal(other, base)
+
+    def test_buffered_words_do_not_leak_between_slabs(self):
+        # one worker runs slabs in order; run backwards they must agree,
+        # so no stream state outlives its slab
+        family = _family(6, 3, 2 * _SLAB + 5)
+        want = bound_gap_sweep(family)
+        members = [mc._Member(cfg) for cfg in family]
+        for lo in reversed(range(0, 2 * _SLAB + 5, _SLAB)):
+            mc._process_slab(13, 6, 3, lo, min(lo + _SLAB, 2 * _SLAB + 5),
+                             members[:2], members[2:])
+        for mem, (_, res) in zip(members, want):
+            assert float(mem.rates.mean()) == res.empirical_rate
 
     def test_entries_are_standard_complex_gaussian(self):
-        h = channel_matrix(200, 100, seed=11, trial=0)
+        u = np.random.Generator(np.random.Philox(key=11)).random((2, 20_000))
+        h = channel_from_uniforms(u, np.empty(20_000, dtype=np.complex128))
         power = np.abs(h) ** 2
-        assert float(power.mean()) == pytest.approx(1.0, abs=0.02)
-        assert float(h.real.var()) == pytest.approx(0.5, abs=0.01)
-        assert float(h.imag.var()) == pytest.approx(0.5, abs=0.01)
+        assert float(power.mean()) == pytest.approx(1.0, abs=0.03)
+        assert float(h.real.var()) == pytest.approx(0.5, abs=0.015)
+        assert float(h.imag.var()) == pytest.approx(0.5, abs=0.015)
         assert abs(complex(h.mean())) < 0.02
         # squared magnitudes are Exp(1)
         assert float((power > 1.0).mean()) == pytest.approx(math.exp(-1.0),
                                                             abs=0.01)
 
     def test_uniform_mapping_shape_contract(self):
-        u = _ChannelStream(3, 4, 2).uniforms(trial=0)
-        assert u.shape == (2, 4, 2)
-        # the matrix lands in out and u becomes scratch
-        out = np.empty((4, 2), dtype=np.complex128)
+        u = np.random.Generator(np.random.Philox(key=3)).random((4, 2, 5))
+        radius = np.sqrt(-np.log(1.0 - u[:, 0]))
+        angle = 2.0 * math.pi * u[:, 1]
+        # the entries land in out, pair i of each row mapping to entry i,
+        # and u becomes scratch
+        out = np.empty((4, 5), dtype=np.complex128)
         assert channel_from_uniforms(u, out=out) is out
-        assert np.array_equal(out, channel_matrix(4, 2, seed=3, trial=0))
+        assert np.array_equal(out.real, radius * np.cos(angle))
+        assert np.array_equal(out.imag, radius * np.sin(angle))
 
-    def test_buffered_words_do_not_leak_between_trials(self):
-        # drawing trials in different orders must give the same matrices
-        s = _ChannelStream(21, 5, 3)
-        first_then_second = [s.uniforms(0).copy(), s.uniforms(1).copy()]
-        s2 = _ChannelStream(21, 5, 3)
-        second_then_first = [s2.uniforms(1).copy(), s2.uniforms(0).copy()]
-        assert np.array_equal(first_then_second[0], second_then_first[1])
-        assert np.array_equal(first_then_second[1], second_then_first[0])
+    @pytest.mark.parametrize("m,k", [(6, 3), (2, 5)])
+    def test_factor_gram_has_wishart_moments(self, m, k):
+        # W = L L^H of the Bartlett factor is complex Wishart CW_k(m, I):
+        # E W = m I, E |W_ij|^2 = m off the diagonal, E W_ii^2 = m (m + 1)
+        gammas, uniforms = _slab_streams(17, 0)
+        grams = []
+        for _ in range(20_000):
+            lower = _reference_factor(gammas, uniforms, m, k)
+            grams.append(lower @ lower.conj().T)
+        w = np.array(grams)
+        off = ~np.eye(k, dtype=bool)
+
+        def assert_mean(samples, want):
+            se = samples.std(ddof=1, axis=0) / math.sqrt(len(samples))
+            assert np.all(np.abs(samples.mean(axis=0) - want) <= 5.0 * se)
+
+        assert_mean(w.real, m * np.eye(k))
+        assert_mean(w.imag[:, off], 0.0)
+        assert_mean(np.abs(w[:, off]) ** 2, m)
+        assert_mean(np.diagonal(w, axis1=1, axis2=2).real ** 2, m * (m + 1.0))
 
 
 class TestBoundMargins:
@@ -190,24 +236,16 @@ class TestExactOracle:
             assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth
 
 
-class TestResamplePath:
-    def test_singular_gram_is_redrawn(self, monkeypatch):
-        m, k, seed, gamma = 6, 3, 9, 0.5
-        _mask_first_draws(monkeypatch)
-        res = simulate(McConfig(m=m, k=k, gamma=gamma, detector=ZF,
-                                trials=1, seed=seed))
-        assert res.resampled == 1
-        h1 = channel_matrix(m, k, seed, 0, resample=1)
-        diag = np.diagonal(np.linalg.inv(h1.conj().T @ h1)).real
-        assert res.empirical_rate == float(np.log2(1.0 + gamma / diag).sum())
-
-    def test_rank_deficient_batch_falls_back_per_trial(self, monkeypatch):
-        _mask_first_draws(monkeypatch)
-        res = simulate(McConfig(m=6, k=3, gamma=0.5, detector=ZF,
-                                trials=64, seed=2))
-        assert res.resampled == 64
+class TestNoRedraw:
+    def test_square_factor_needs_no_redraw(self):
+        # at m = k + 1 the last user's L_kk^2 is Gamma(1), the ZF Gram's
+        # worst conditioning; it is still never singular
+        res = simulate(McConfig(m=4, k=3, gamma=0.5, detector=ZF,
+                                trials=_SLAB + 37, seed=9))
+        assert res.resampled == 0
         assert math.isfinite(res.empirical_rate)
-        assert res.empirical_rate > 0
+        exact = _exact_sum_rate(4, 3, 0.5, ZF)
+        assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth
 
 
 class TestValidation:
@@ -265,64 +303,30 @@ class TestValidation:
         assert swept[0][1] == swept[3][1]
 
 
-def _box_muller_gram(u):
-    radius = np.sqrt(-np.log(1.0 - u[..., 0, :, :]))
-    angle = 2.0 * math.pi * u[..., 1, :, :]
-    h = np.empty(radius.shape, dtype=np.complex128)
-    h.real = radius * np.cos(angle)
-    h.imag = radius * np.sin(angle)
-    return np.matmul(h.conj().swapaxes(-1, -2), h)
+def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
+    """The slab one trial at a time, straight from the Bartlett factor.
 
-
-def _redrawn_diag_inv(stream, trial, gram):
-    """Diagonal of the inverted Gram matrix, redrawing on rank deficiency."""
-    resamples = 0
-    while True:
-        try:
-            np.linalg.cholesky(gram)
-            return np.diagonal(np.linalg.inv(gram)).real.copy(), resamples
-        except np.linalg.LinAlgError:
-            resamples += 1
-            gram = _box_muller_gram(stream.uniforms(trial, resamples))
-
-
-def _whole_slab_reference(seed, m, k, lo, hi, mrc_members, zf_members):
-    """The slab body before chunking: each stage on the whole slab at once.
-
-    The reference for the streamed slab, with Box-Muller spelled out as it
-    was and its own per-trial redraw, so it shares no chunk, buffer or
-    redraw logic with the code under test. Returns the ZF redraw count.
+    The reference for the chunked slab: it shares no chunk, buffer, index
+    table or Box-Muller code with the code under test, only the stream
+    layout and each trial's arithmetic.
     """
-    n = hi - lo
-    stream = _ChannelStream(seed, m, k)
-    u = np.empty((n, 2, m, k))
-    for i in range(n):
-        stream.uniforms(lo + i, 0, out=u[i])
-    gram = _box_muller_gram(u)
-
-    if mrc_members:
-        d = np.diagonal(gram, axis1=1, axis2=2).real
-        row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
-        cross = row_power - d * d
+    gammas, uniforms = _slab_streams(seed, lo // _SLAB)
+    for t in range(lo, hi):
+        lower = _reference_factor(gammas, uniforms, m, k)
+        gram = np.matmul(lower, lower.conj().T)
+        d = np.diagonal(gram).real
+        cross = (gram.real ** 2 + gram.imag ** 2).sum(axis=1) - d * d
         for mem in mrc_members:
             g = mem.cfg.gamma
-            sinr = (g * d * d) / (g * cross + d)
-            mem.rates[lo:hi] = np.log2(1.0 + sinr).sum(axis=1)
-
-    resampled = 0
-    if zf_members:
-        try:
-            np.linalg.cholesky(gram)
-            diag_inv = np.diagonal(
-                np.linalg.inv(gram), axis1=1, axis2=2).real
-        except np.linalg.LinAlgError:
-            diag_inv = np.empty((n, k))
-            for i in range(n):
-                diag_inv[i], extra = _redrawn_diag_inv(stream, lo + i, gram[i])
-                resampled += extra
+            mem.rates[t] = np.log2(1.0 + (g * d * d) / (g * cross + d)).sum()
+        if zf_members:
+            inv = np.linalg.inv(lower)
+            diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=0)
+            # the column norms of L^{-1} are the diagonal of W^{-1}
+            assert np.allclose(diag_inv, np.diagonal(np.linalg.inv(gram)).real,
+                               rtol=1e-6)
         for mem in zf_members:
-            mem.rates[lo:hi] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
-    return resampled
+            mem.rates[t] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum()
 
 
 def _family(m, k, trials, seed=13):
@@ -331,63 +335,48 @@ def _family(m, k, trials, seed=13):
             if det is MRC or m > k]
 
 
-def _assert_streamed_equals_whole_slab(monkeypatch, family):
-    streamed = {t: bound_gap_sweep(family, threads=t) for t in (1, 2)}
+def _assert_chunked_equals_reference(monkeypatch, family):
+    chunked = {t: bound_gap_sweep(family, threads=t) for t in (1, 2)}
     with monkeypatch.context() as patch:
-        patch.setattr(mc, "_process_slab", _whole_slab_reference)
+        patch.setattr(mc, "_process_slab", _bartlett_reference)
         want = bound_gap_sweep(family)
-    assert streamed[1] == want
-    assert streamed[2] == want
+    assert chunked[1] == want
+    assert chunked[2] == want
 
 
 class TestStreamedSlab:
-    @pytest.mark.parametrize("m,k", [(5, 3), (4, 1), (6, 5)])
+    @pytest.mark.parametrize("m,k", [(5, 3), (4, 1), (6, 5), (6, 3),
+                                     (17, 16), (64, 8), (2, 5)])
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_chunks_leave_every_result_unchanged(self, monkeypatch, m, k,
                                                  chunk):
         # chunk=None keeps the module's 1 MiB chunk, which holds a whole
-        # slab at these sizes; 7 trials puts chunk edges inside each slab
+        # slab at most of these sizes; 7 trials puts chunk edges inside
+        # each slab, and the last trial of a slab in a partial chunk
         if chunk is not None:
-            monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * m * k * chunk)
-        size = chunk or _SLAB
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * k * k * chunk)
+        size = chunk or min(_SLAB, mc._CHUNK_BYTES // (16 * k * k))
         for trials in (1, size - 1, size + 1, _SLAB + 37):
-            _assert_streamed_equals_whole_slab(
+            _assert_chunked_equals_reference(
                 monkeypatch, _family(m, k, trials))
 
     def test_cache_sized_chunks_of_a_large_design(self, monkeypatch):
-        chunk = mc._CHUNK_BYTES // (16 * 128 * 16)
+        chunk = mc._CHUNK_BYTES // (16 * 16 * 16)
         assert 1 < chunk < _SLAB
         for trials in (chunk - 1, chunk + 1, _SLAB + 37):
-            _assert_streamed_equals_whole_slab(
+            _assert_chunked_equals_reference(
                 monkeypatch, _family(128, 16, trials))
 
-    def test_rank_deficient_fallback(self, monkeypatch):
-        _mask_first_draws(monkeypatch)
-        monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * 6 * 3 * 7)
-        # MRC is left out: its zero-norm user makes every rate NaN
-        family = [cfg for cfg in _family(6, 3, 7 * 3 + 2)
-                  if cfg.detector is ZF]
-        _assert_streamed_equals_whole_slab(monkeypatch, family)
-        assert bound_gap_sweep(family)[0][1].resampled == 23
-
-    @pytest.mark.parametrize("m,k", [(6, 3), (17, 16), (64, 8)])
-    def test_singular_trials_fall_back_within_their_chunk(self, monkeypatch,
-                                                           m, k):
-        # 7-trial chunks: trial 0 opens a chunk, 10 sits inside one, 4095
-        # fills the first slab's last partial chunk, 4100 is in the second
-        # slab and 4132 is the run's last trial, in its last partial chunk
-        masked = {0, 10, _SLAB - 1, _SLAB + 4, _SLAB + 36}
-        _mask_first_draws(monkeypatch, masked)
-        monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * m * k * 7)
-        family = [cfg for cfg in _family(m, k, _SLAB + 37)
-                  if cfg.detector is ZF]
-        _assert_streamed_equals_whole_slab(monkeypatch, family)
-        assert bound_gap_sweep(family)[0][1].resampled == len(masked)
+    def test_two_chunk_sizes_give_identical_results(self, monkeypatch):
+        family = _family(128, 16, 2 * _SLAB + 3)
+        want = bound_gap_sweep(family, threads=2)
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * 16 * 16 * 37)
+        assert bound_gap_sweep(family, threads=2) == want
 
     def test_slab_memory_per_worker_at_two_threads(self):
         # two workers each stream one slab at once, so the peak is two sets
         # of chunk buffers: 8 MB a worker, where one slab-sized Gram with
-        # ZF's factor and inverse would take about 40 MB
+        # ZF's inverse would take about 34 MB
         family = [McConfig(m=128, k=16, gamma=0.1, detector=det,
                            trials=2 * _SLAB, seed=3) for det in (MRC, ZF)]
         tracemalloc.start()
@@ -399,9 +388,10 @@ class TestStreamedSlab:
         assert peak < 16e6
 
     def test_slab_memory_is_its_chunk_buffers(self):
-        # every stage runs per chunk, so the peak is the three ~1 MiB chunk
-        # buffers and a chunk of Gram matrices; one slab-sized (4096, 16, 16)
-        # array would take 16.8 MB on its own
+        # every stage runs per chunk, so the peak is the 512 KiB chunk
+        # buffers (L, its conjugate, the Gram matrices) and ZF's inverse of
+        # one chunk; one slab-sized (4096, 16, 16) array would take 16.8 MB
+        # on its own
         family = [McConfig(m=128, k=16, gamma=0.1, detector=det,
                            trials=_SLAB, seed=3) for det in (MRC, ZF)]
         tracemalloc.start()

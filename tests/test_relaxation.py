@@ -243,6 +243,11 @@ class TestMinimizeRelaxed:
         with pytest.raises(InfeasibleError):
             minimize_relaxed(_theta(R=2000.0), MRC, k_max=1.0)
 
+    @pytest.mark.parametrize("k_max", [True, False])
+    def test_bool_k_max_is_not_a_count(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be finite and >= 1"):
+            minimize_relaxed(_theta(), MRC, k_max=k_max)
+
 
 class TestGlobalMinimum:
     """The MRC objective is not unimodal, so no bracketing search alone is
