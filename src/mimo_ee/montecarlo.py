@@ -50,7 +50,7 @@ import numpy as np
 from .link import AntennaConfig, Detector, rate_achieved
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
-_CHUNK_BYTES = 1 << 19  # a chunk's (k, k) complex matrices; its buffers stay in L2
+_CHUNK_BYTES = 1 << 19  # (k, k) complex matrices per chunk; its buffers stay in L2
 _GAMMA, _UNIFORM = 0, 1  # a slab's two streams, by the variate kind they draw
 _Z95 = 1.96         # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi

@@ -84,12 +84,13 @@ class TestChannelDraws:
     def test_buffered_words_do_not_leak_between_slabs(self):
         # one worker runs slabs in order; run backwards they must agree,
         # so no stream state outlives its slab
-        family = _family(6, 3, 2 * _SLAB + 5)
+        trials = 2 * _SLAB + 5
+        family = _family(6, 3, trials, seed=13)
         want = bound_gap_sweep(family)
         members = [mc._Member(cfg) for cfg in family]
-        for lo in reversed(range(0, 2 * _SLAB + 5, _SLAB)):
-            mc._process_slab(13, 6, 3, lo, min(lo + _SLAB, 2 * _SLAB + 5),
-                             members[:2], members[2:])
+        for lo in reversed(range(0, trials, _SLAB)):
+            mc._process_slab(13, 6, 3, lo, min(lo + _SLAB, trials),
+                             members[:2], members[2:])   # MRC, then ZF
         for mem, (_, res) in zip(members, want):
             assert float(mem.rates.mean()) == res.empirical_rate
 
@@ -97,9 +98,9 @@ class TestChannelDraws:
         u = np.random.Generator(np.random.Philox(key=11)).random((2, 20_000))
         h = channel_from_uniforms(u, np.empty(20_000, dtype=np.complex128))
         power = np.abs(h) ** 2
-        assert float(power.mean()) == pytest.approx(1.0, abs=0.03)
-        assert float(h.real.var()) == pytest.approx(0.5, abs=0.015)
-        assert float(h.imag.var()) == pytest.approx(0.5, abs=0.015)
+        assert float(power.mean()) == pytest.approx(1.0, abs=0.02)
+        assert float(h.real.var()) == pytest.approx(0.5, abs=0.01)
+        assert float(h.imag.var()) == pytest.approx(0.5, abs=0.01)
         assert abs(complex(h.mean())) < 0.02
         # squared magnitudes are Exp(1)
         assert float((power > 1.0).mean()) == pytest.approx(math.exp(-1.0),
