@@ -419,6 +419,39 @@ class TestCli:
         assert "hypotheses unmet" in err
         assert out == render_csv([record], THRESHOLD_COLUMNS)
 
+    @pytest.mark.parametrize("cmd,section,flags,rc", [
+        # a row error: optimize and thresholds exit 3, the tables exit 0
+        ("optimize", {"optimize": {"R": 2000.0}}, ("--k-max", "1"), 3),
+        ("thresholds", {"thresholds": {"R": 5.0}}, (), 3),
+        ("sweep", {"sweep": {"r_values": [4.0, 2000.0]}}, ("--k-max", "1"), 0),
+        ("breakdown", {"sweep": {"r_values": [2000.0]}}, ("--k-max", "1"), 0),
+        ("trajectory", {"trajectory": {"c": 2.0, "r_values": [1.0, 10.0]}},
+         (), 0),
+        # a value the library type refuses is a config error
+        ("trajectory", {"trajectory": {"c": -1.0, "r_values": [10.0]}}, (), 2),
+        ("thresholds", {"thresholds": {"R": -1.0}}, (), 2),
+        ("sweep", {"sweep": {"r_values": [8.0, 4.0]}}, (), 2),
+    ])
+    def test_exit_code_rule(self, capsys, tmp_path, cmd, section, flags, rc):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                           "rho_s": 1.0}, **section}))
+        got, out, err = _run(capsys, cmd, "--config", str(path), *flags)
+        assert got == rc
+        if rc == 2:
+            assert out == ""
+            assert err.startswith("error: config: ")
+            assert err.count("\n") == 1
+            return
+        rows = list(csv.DictReader(out.splitlines()))
+        failed = [row["error"] for row in rows if row["error"]]
+        assert failed  # the table is written, with the failed row in it
+        if rc == 3:
+            assert err == f"error: numeric: {failed[0]}\n"
+        else:
+            assert err == ""
+
     def test_bad_flag_exits_2(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", config_path, "--threads", "0"])
@@ -457,6 +490,48 @@ class TestCli:
             [sys.executable, "-m", "mimo_ee", "sweep", "--config", config_path],
             capture_output=True, text=True, check=True, env=env)
         assert proc.stdout == expected
+
+
+_PHYSICAL = {"bandwidth_hz": 2e7, "noise_psd": 4e-21, "path_gain": 6e-14,
+             "pa_slope": 2.5, "p_r": 0.3, "p_t": 0.07, "p_dec": 0.11,
+             "p_s": 9.0}
+_TABLES = {"sweep": {"r_values": [4.0, 60.0]}, "optimize": {"R": 24.0},
+           "trajectory": {"c": 2.0, "r_values": [10.0, 100.0]},
+           "thresholds": {"R": 40.0}}
+
+
+class TestPhysicalConfig:
+    """A `physical` section is the `normalized` one it scales to."""
+
+    def _write(self, tmp_path, name, power):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({name: power, **_TABLES}))
+        return str(path)
+
+    @pytest.mark.parametrize("cmd", ["optimize", "sweep", "thresholds"])
+    def test_same_bytes_as_its_normalized_profile(self, capsys, tmp_path,
+                                                  cmd):
+        p = _PHYSICAL
+        scale = p["path_gain"] / (p["noise_psd"] * p["bandwidth_hz"])
+        normalized = {"alpha": p["pa_slope"], "rho_r": p["p_r"] * scale,
+                      "rho_d": (p["p_t"] + p["p_dec"]) * scale,
+                      "rho_s": p["p_s"] * scale}
+        runs = [_run(capsys, cmd, "--config",
+                     self._write(tmp_path, name, power))
+                for name, power in (("physical", p),
+                                    ("normalized", normalized))]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].startswith("R,")
+
+    @pytest.mark.parametrize(
+        "cmd", ["optimize", "sweep", "breakdown", "trajectory", "thresholds"])
+    def test_pa_slope_of_one_exits_2(self, capsys, tmp_path, cmd):
+        path = self._write(tmp_path, "physical", {**_PHYSICAL, "pa_slope": 1.0})
+        rc, out, err = _run(capsys, cmd, "--config", path)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: config: ") and "pa_slope" in err
+        assert err.count("\n") == 1
 
 
 class TestOutFile:
