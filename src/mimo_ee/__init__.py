@@ -29,8 +29,7 @@ from .relaxation import (RelaxedOptimum, SolverDiag, minimize_relaxed,
                          optimal_m, reduced_power)
 from .report import (SweepSpec, sweep_records, trajectory_records,
                      validation_records)
-from .units import (PhysicalParams, PowerProfile, SystemParams,
-                    denormalize_efficiency, normalize, profile_of)
+from .units import PhysicalParams, PowerProfile, SystemParams, normalize
 
 __version__ = "0.1.0"
 
@@ -39,10 +38,9 @@ __all__ = [
     "InfeasibleError", "McConfig", "McResult", "Optimum", "PhysicalParams",
     "PowerProfile", "RelaxedOptimum", "SolverDiag", "SweepSpec",
     "SystemParams", "Thresholds", "TrajectoryPoint", "TrajectorySpec",
-    "bound_gap_sweep", "denormalize_efficiency",
-    "evaluate_efficiency", "gamma_required", "is_feasible",
+    "bound_gap_sweep", "evaluate_efficiency", "gamma_required", "is_feasible",
     "minimize_relaxed", "mrc_upper_bound_check",
-    "normalize", "optimal_m", "optimize_exact", "profile_of",
+    "normalize", "optimal_m", "optimize_exact",
     "rate_achieved", "reduced_power", "simulate", "sweep_records",
     "thresholds", "trajectory_limit", "trajectory_point",
     "trajectory_records", "trajectory_zeta", "validation_records",

@@ -4,7 +4,8 @@ Reads one JSON config file describing the system, runs the requested
 computation, and writes a CSV (or JSON) table to stdout or a file. Exit
 codes: 0 on success, 2 for configuration problems, 3 when the requested
 point is numerically out of reach (infeasible rate, overflow, hypotheses
-unmet). Every failure prints a single machine-parsable line on stderr.
+unmet, more memory than can be allocated). Every failure prints a single
+machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from typing import Sequence
 from .asymptotics import TrajectorySpec
 from .link import Detector
 from .montecarlo import McConfig
-from .report import (ERROR_COLUMN, SweepSpec, THRESHOLD_COLUMNS,
+from .report import (_ROW_ERRORS, ERROR_COLUMN, SweepSpec, THRESHOLD_COLUMNS,
                      TRAJECTORY_COLUMNS, VALIDATION_COLUMNS, render_csv,
                      render_json, sweep_columns, sweep_records,
                      threshold_record, trajectory_records, validation_records)
-from .units import PhysicalParams, PowerProfile, normalize, profile_of
-
-_NUMERIC_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+from .units import PhysicalParams, PowerProfile, normalize
 
 _PHYSICAL_KEYS = ("bandwidth_hz", "noise_psd", "path_gain", "pa_slope",
                   "p_r", "p_t", "p_dec", "p_s")
@@ -137,96 +136,73 @@ def _profile(cfg: dict) -> PowerProfile:
     if physical is None and normalized is None:
         raise ConfigError(
             "config needs a 'physical' or a 'normalized' section")
-    try:
-        if normalized is not None:
-            return PowerProfile(
-                alpha=_num(normalized, "alpha", "normalized"),
-                rho_r=_num(normalized, "rho_r", "normalized"),
-                rho_d=_num(normalized, "rho_d", "normalized"),
-                rho_s=_num(normalized, "rho_s", "normalized"))
-        params = PhysicalParams(
-            **{key: _num(physical, key, "physical") for key in _PHYSICAL_KEYS})
-        # the normalization scale does not depend on the rate; any rate works
-        return profile_of(normalize(params, 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if normalized is not None:
+        return PowerProfile(
+            alpha=_num(normalized, "alpha", "normalized"),
+            rho_r=_num(normalized, "rho_r", "normalized"),
+            rho_d=_num(normalized, "rho_d", "normalized"),
+            rho_s=_num(normalized, "rho_s", "normalized"))
+    return normalize(PhysicalParams(
+        **{key: _num(physical, key, "physical") for key in _PHYSICAL_KEYS}))
 
 
-def _sweep_spec(cfg: dict, args: argparse.Namespace,
-                outputs_override: set[str] | None = None) -> SweepSpec:
+# Each handler only parses: it returns (compute, columns), where `compute`
+# builds the records when `main` calls it. A ValueError raised while parsing
+# is a config error. The lambdas look the report functions up in this
+# module's namespace at call time, so a wrapper installed there is called.
+
+
+def _cmd_sweep(cfg: dict, args: argparse.Namespace,
+               outputs: set[str] | None = None):
     profile = _profile(cfg)
     sec = _section(cfg, "sweep",
                    {"r_values", "detectors", "outputs", "trajectory_c"},
                    required=True)
-    if outputs_override is not None:
-        outputs = frozenset(outputs_override)
-    else:
-        raw = sec.get("outputs", ["exact", "relaxed"])
-        if not isinstance(raw, list) or not raw:
+    if outputs is None:
+        outputs = sec.get("outputs", ["exact", "relaxed"])
+        if not isinstance(outputs, list) or not outputs:
             raise ConfigError("'sweep.outputs' must be a nonempty array")
-        for item in raw:
+        for item in outputs:
             if not isinstance(item, str):
                 raise ConfigError(
                     f"'sweep.outputs' must contain strings, got {item!r}")
-        outputs = frozenset(raw)
     trajectory_c = None
     if "trajectory_c" in sec:
         trajectory_c = _num(sec, "trajectory_c", "sweep")
-    try:
-        return SweepSpec(
-            r_values=_num_list(sec, "r_values", "sweep"),
-            theta_base=profile,
-            detectors=_detector_list(sec, "sweep"),
-            outputs=outputs,
-            trajectory_c=trajectory_c,
-            k_max=args.k_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _cmd_sweep(cfg: dict, args: argparse.Namespace,
-               outputs_override: set[str] | None = None):
-    spec = _sweep_spec(cfg, args, outputs_override)
-    return sweep_records(spec), sweep_columns(spec), 0
+    spec = SweepSpec(
+        r_values=_num_list(sec, "r_values", "sweep"),
+        theta_base=profile,
+        detectors=_detector_list(sec, "sweep"),
+        outputs=frozenset(outputs),
+        trajectory_c=trajectory_c,
+        k_max=args.k_max)
+    return lambda: sweep_records(spec), sweep_columns(spec)
 
 
 def _cmd_breakdown(cfg: dict, args: argparse.Namespace):
-    return _cmd_sweep(cfg, args, outputs_override={"exact", "pa_fraction"})
+    return _cmd_sweep(cfg, args, outputs={"exact", "pa_fraction"})
 
 
 def _cmd_optimize(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
     sec = _section(cfg, "optimize", {"R", "detectors"}, required=True)
-    rate = _num(sec, "R", "optimize")
-    try:
-        spec = SweepSpec(
-            r_values=(rate,), theta_base=profile,
-            detectors=_detector_list(sec, "optimize"),
-            outputs=frozenset({"exact", "relaxed", "pa_fraction"}),
-            k_max=args.k_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    records = sweep_records(spec)
-    failures = [str(row[ERROR_COLUMN]) for row in records if row[ERROR_COLUMN]]
-    rc = 0
-    if failures:
-        print(f"error: numeric: {failures[0]}", file=sys.stderr)
-        rc = 3
-    return records, sweep_columns(spec), rc
+    spec = SweepSpec(
+        r_values=(_num(sec, "R", "optimize"),), theta_base=profile,
+        detectors=_detector_list(sec, "optimize"),
+        outputs=frozenset({"exact", "relaxed", "pa_fraction"}),
+        k_max=args.k_max)
+    return lambda: sweep_records(spec), sweep_columns(spec)
 
 
 def _cmd_trajectory(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
     sec = _section(cfg, "trajectory", {"c", "r_values"}, required=True)
-    try:
-        spec = TrajectorySpec(c=_num(sec, "c", "trajectory"), profile=profile)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = TrajectorySpec(c=_num(sec, "c", "trajectory"), profile=profile)
     rates = _num_list(sec, "r_values", "trajectory")
     for rate in rates:
         if not math.isfinite(rate):
             raise ConfigError("'trajectory.r_values' must be finite")
-    return trajectory_records(spec, rates), TRAJECTORY_COLUMNS, 0
+    return lambda: trajectory_records(spec, rates), TRAJECTORY_COLUMNS
 
 
 def _cmd_validate(cfg: dict, args: argparse.Namespace):
@@ -259,33 +235,31 @@ def _cmd_validate(cfg: dict, args: argparse.Namespace):
                 seed=_int(point, "seed", ctx, default_seed)))
         except ValueError as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
-    records = validation_records(configs, threads=args.threads)
-    return records, VALIDATION_COLUMNS, 0
+    return (lambda: validation_records(configs, threads=args.threads),
+            VALIDATION_COLUMNS)
 
 
 def _cmd_thresholds(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
     sec = _section(cfg, "thresholds", {"R"}, required=True)
-    try:
-        theta = profile.at_rate(_num(sec, "R", "thresholds"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    record = threshold_record(theta)
-    rc = 0
-    if record[ERROR_COLUMN]:
-        print(f"error: numeric: {record[ERROR_COLUMN]}", file=sys.stderr)
-        rc = 3
-    return [record], THRESHOLD_COLUMNS, rc
+    theta = profile.at_rate(_num(sec, "R", "thresholds"))
+    return lambda: [threshold_record(theta)], THRESHOLD_COLUMNS
 
 
+# subcommand -> (handler, help), in the order `--help` lists them
 _COMMANDS = {
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "breakdown": _cmd_breakdown,
-    "trajectory": _cmd_trajectory,
-    "validate": _cmd_validate,
-    "thresholds": _cmd_thresholds,
+    "optimize": (_cmd_optimize, "best integer design for one rate target"),
+    "sweep": (_cmd_sweep, "efficiency table across rate targets"),
+    "breakdown": (_cmd_breakdown,
+                  "power budget of the optimum across rate targets"),
+    "trajectory": (_cmd_trajectory, "constant per-user-rate scaling family"),
+    "validate": (_cmd_validate,
+                 "Monte-Carlo check of the closed-form rates"),
+    "thresholds": (_cmd_thresholds,
+                   "rate thresholds for the MRC efficiency cap"),
 }
+# commands that answer one question: a failed row fails the run
+_ONE_ANSWER = ("optimize", "thresholds")
 
 
 def _positive_int(text: str) -> int:
@@ -332,18 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Energy-efficiency optimization of a multiuser "
                     "massive-MIMO uplink with MRC or ZF reception.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("optimize", parents=[common],
-                   help="best integer design for one rate target")
-    sub.add_parser("sweep", parents=[common],
-                   help="efficiency table across rate targets")
-    sub.add_parser("breakdown", parents=[common],
-                   help="power budget of the optimum across rate targets")
-    sub.add_parser("trajectory", parents=[common],
-                   help="constant per-user-rate scaling family")
-    sub.add_parser("validate", parents=[common],
-                   help="Monte-Carlo check of the closed-form rates")
-    sub.add_parser("thresholds", parents=[common],
-                   help="rate thresholds for the MRC efficiency cap")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -364,16 +328,28 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
+    rc = 0
     try:
         cfg = _load_config(args.config)
-        records, columns, rc = _COMMANDS[args.command](cfg, args)
+        try:
+            compute, columns = handler(cfg, args)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        records = compute()
+        if args.command in _ONE_ANSWER:
+            failures = [row[ERROR_COLUMN] for row in records
+                        if row[ERROR_COLUMN]]
+            if failures:
+                print(f"error: numeric: {failures[0]}", file=sys.stderr)
+                rc = 3
         text = (render_json(records, columns) if args.format == "json"
                 else render_csv(records, columns))
         _emit(text, args.out)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except (*_ROW_ERRORS, MemoryError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
     return rc

@@ -101,10 +101,6 @@ def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _note(errors: list[str], exc: Exception, what: str) -> None:
-    errors.append(f"{what}: {exc}")
-
-
 def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
     theta = spec.theta_base.at_rate(rate)
     need_exact = not spec.outputs.isdisjoint({"exact", "pa_fraction"})
@@ -134,7 +130,7 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
             try:
                 exact = optimize_exact(theta, det, k_max=spec.k_max)
             except _ROW_ERRORS as exc:
-                _note(errors, exc, "exact")
+                errors.append(f"exact: {exc}")
         if exact is not None and "exact" in spec.outputs:
             row["M_star"] = exact.m_star
             row["K_star"] = exact.k_star
@@ -148,7 +144,7 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
 
         if "relaxed" in spec.outputs:
             if det in failed:
-                _note(errors, failed[det], "relaxed")
+                errors.append(f"relaxed: {failed[det]}")
             else:
                 row["zeta_relaxed"] = solved[det].zeta
                 if exact is not None and "exact" in spec.outputs:
@@ -159,13 +155,12 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
             if rate > spec.trajectory_c:
                 row[TRAJECTORY_COLUMN] = trajectory_zeta(tspec, rate)
             else:
-                _note(errors, ValueError(
-                    f"R must exceed the per-user rate {spec.trajectory_c}"),
-                    "trajectory")
+                errors.append("trajectory: R must exceed the per-user rate "
+                              f"{spec.trajectory_c}")
 
         if "comparison" in spec.outputs:
             if failed:
-                _note(errors, next(iter(failed.values())), "comparison")
+                errors.append(f"comparison: {next(iter(failed.values()))}")
             else:
                 row[COMPARISON_COLUMN] = (solved[Detector.MRC].zeta
                                           < solved[Detector.ZF].zeta)

@@ -88,19 +88,14 @@ class PowerProfile:
                             rho_d=self.rho_d, rho_s=self.rho_s)
 
 
-def profile_of(theta: SystemParams) -> PowerProfile:
-    """Strip the rate from a normalized parameter set."""
-    return PowerProfile(alpha=theta.alpha, rho_r=theta.rho_r,
-                        rho_d=theta.rho_d, rho_s=theta.rho_s)
+def normalize(p: PhysicalParams) -> PowerProfile:
+    """Normalize physical powers by N0*B/Gc.
 
-
-def normalize(p: PhysicalParams, rate: float) -> SystemParams:
-    """Normalize physical powers by N0*B/Gc and attach the target rate.
-
+    The scale depends on the hardware and the channel only, never on the
+    target rate, so the result is a profile; `at_rate` attaches a rate.
     Rejects inputs whose ratios overflow double precision rather than
     letting infinities leak into the optimizer.
     """
-    _require_positive("rate", rate)
     scale = p.path_gain / (p.noise_psd * p.bandwidth_hz)
     rho_r = p.p_r * scale
     rho_d = (p.p_t + p.p_dec) * scale
@@ -109,12 +104,5 @@ def normalize(p: PhysicalParams, rate: float) -> SystemParams:
         if not math.isfinite(value):
             raise ValueError(f"normalized {name} is not finite; "
                              "input ratios exceed double range")
-    return SystemParams(R=float(rate), alpha=p.pa_slope,
-                        rho_r=rho_r, rho_d=rho_d, rho_s=rho_s)
-
-
-def denormalize_efficiency(zeta: float, p: PhysicalParams) -> float:
-    """Convert a normalized efficiency back to bits per Joule."""
-    if not (math.isfinite(zeta) and zeta >= 0):
-        raise ValueError(f"zeta must be finite and >= 0, got {zeta!r}")
-    return zeta * p.path_gain / p.noise_psd
+    return PowerProfile(alpha=p.pa_slope, rho_r=rho_r, rho_d=rho_d,
+                        rho_s=rho_s)

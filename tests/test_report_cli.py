@@ -452,6 +452,19 @@ class TestCli:
         else:
             assert err == ""
 
+    def test_unallocatable_trial_count_exits_3(self, capsys, tmp_path):
+        # 8 PB of rates lies beyond a 47-bit address space, so numpy
+        # refuses the array before touching memory
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"montecarlo": {"trials": 10 ** 15,
+                                                   "points": [
+            {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc"}]}}))
+        rc, out, err = _run(capsys, "validate", "--config", str(path))
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: numeric: ")
+        assert err.count("\n") == 1
+
     def test_bad_flag_exits_2(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", config_path, "--threads", "0"])

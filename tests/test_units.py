@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mimo_ee.units import (PhysicalParams, PowerProfile, SystemParams,
-                           denormalize_efficiency, normalize, profile_of)
+from mimo_ee.units import PhysicalParams, PowerProfile, SystemParams, normalize
 
 
 def _params(**over):
@@ -19,32 +18,28 @@ def _params(**over):
 class TestNormalize:
     def test_hand_computed_scale(self):
         # scale = path_gain / (noise_psd * bandwidth) = 1e-7 / 2e-13 = 5e5
-        theta = normalize(_params(), rate=6.0)
-        assert theta.R == 6.0
-        assert theta.alpha == 2.0
-        assert theta.rho_r == pytest.approx(0.5 * 5e5, rel=1e-12)
-        assert theta.rho_d == pytest.approx(0.2 * 5e5, rel=1e-12)
-        assert theta.rho_s == pytest.approx(10.0 * 5e5, rel=1e-12)
+        profile = normalize(_params())
+        assert isinstance(profile, PowerProfile)
+        assert profile.alpha == 2.0
+        assert profile.rho_r == pytest.approx(0.5 * 5e5, rel=1e-12)
+        assert profile.rho_d == pytest.approx(0.2 * 5e5, rel=1e-12)
+        assert profile.rho_s == pytest.approx(10.0 * 5e5, rel=1e-12)
 
     def test_decoding_and_terminal_power_pool_together(self):
-        a = normalize(_params(p_t=0.3, p_dec=0.0), rate=1.0)
-        b = normalize(_params(p_t=0.0, p_dec=0.3), rate=1.0)
+        a = normalize(_params(p_t=0.3, p_dec=0.0))
+        b = normalize(_params(p_t=0.0, p_dec=0.3))
         assert a.rho_d == b.rho_d
 
     def test_overflowing_ratio_rejected(self):
         p = _params(path_gain=1e10, noise_psd=1e-300, bandwidth_hz=1e-8)
         with pytest.raises(ValueError, match="finite"):
-            normalize(p, rate=1.0)
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            normalize(_params(), rate=0.0)
+            normalize(p)
 
     @given(p_r=st.floats(1e-6, 1e3), p_t=st.floats(1e-6, 1e3),
            p_dec=st.floats(1e-6, 1e3))
     def test_power_ratios_survive_normalization(self, p_r, p_t, p_dec):
-        theta = normalize(_params(p_r=p_r, p_t=p_t, p_dec=p_dec), rate=2.0)
-        assert theta.rho_r / theta.rho_d == pytest.approx(
+        profile = normalize(_params(p_r=p_r, p_t=p_t, p_dec=p_dec))
+        assert profile.rho_r / profile.rho_d == pytest.approx(
             p_r / (p_t + p_dec), rel=1e-12)
 
 
@@ -75,29 +70,9 @@ class TestValidation:
 
 
 class TestProfile:
-    def test_round_trip(self):
-        theta = SystemParams(R=7.0, alpha=2.5, rho_r=3.0, rho_d=0.5, rho_s=9.0)
-        again = profile_of(theta).at_rate(7.0)
-        assert again == theta
-
     def test_at_rate_only_changes_r(self):
         profile = PowerProfile(alpha=2.0, rho_r=1.0, rho_d=2.0, rho_s=3.0)
         a, b = profile.at_rate(1.0), profile.at_rate(100.0)
         assert (a.alpha, a.rho_r, a.rho_d, a.rho_s) == \
             (b.alpha, b.rho_r, b.rho_d, b.rho_s)
         assert (a.R, b.R) == (1.0, 100.0)
-
-
-class TestDenormalize:
-    def test_scaling(self):
-        p = _params()
-        # bits/Joule = zeta * path_gain / noise_psd
-        assert denormalize_efficiency(0.5, p) == pytest.approx(
-            0.5 * 1e-7 / 1e-20, rel=1e-12)
-
-    def test_zero_passes_through(self):
-        assert denormalize_efficiency(0.0, _params()) == 0.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            denormalize_efficiency(math.inf, _params())
