@@ -48,7 +48,7 @@ def _load_config(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer too long
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("top level of the config must be a JSON object")
@@ -74,13 +74,20 @@ def _section(cfg: dict, name: str, allowed: set[str], *,
     return sec
 
 
+def _double(value: int | float, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:    # an integer past double range
+        raise ConfigError(f"'{where}' is out of double range: {exc}") from exc
+
+
 def _num(sec: dict, key: str, ctx: str) -> float:
     if key not in sec:
         raise ConfigError(f"'{ctx}' needs '{key}'")
     value = sec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{ctx}.{key}' must be a number, got {value!r}")
-    return float(value)
+    return _double(value, f"{ctx}.{key}")
 
 
 def _int(sec: dict, key: str, ctx: str, default: int | None = None) -> int:
@@ -105,7 +112,7 @@ def _num_list(sec: dict, key: str, ctx: str) -> tuple[float, ...]:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(
                 f"'{ctx}.{key}' must contain only numbers, got {item!r}")
-        out.append(float(item))
+        out.append(_double(item, f"{ctx}.{key}"))
     return tuple(out)
 
 

@@ -28,8 +28,8 @@ of a slab depends on the draws of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
 complex matrices, which reuse the same buffers: the Gamma draws, the
-uniforms, L's off-diagonal entries, L, its conjugate and the Gram
-matrices. Every stage, from the draw to each member's per-trial rates,
+uniforms, L's off-diagonal entries, L, its conjugate, the Gram matrices
+and, for ZF, L's inverse. Every stage, from the draw to each member's per-trial rates,
 runs on one chunk at a time. A chunk only bounds how many trials are
 handled at once; it never moves a slab boundary, both streams are read
 element by element, and every other operation acts per trial or along a
@@ -151,6 +151,8 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     factor = np.zeros((chunk, k, r), dtype=np.complex128)
     factor_conj = np.empty_like(factor)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
+    if zf_members:     # only the lower triangle is ever written
+        inv_buf = np.zeros((chunk, k, k), dtype=np.complex128)
 
     for a in range(0, n, chunk):
         c = min(chunk, n - a)
@@ -174,8 +176,15 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
 
         if zf_members:
-            # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF
-            inv = np.linalg.inv(lower)
+            # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;
+            # row i of L^{-1} by forward substitution on rows 0..i-1
+            inv = inv_buf[:c]
+            inv_diag = 1.0 / lower[:, diag, diag].real
+            inv[:, diag, diag] = inv_diag
+            for i in range(1, k):
+                np.matmul(lower[:, i, None, :i], inv[:, :i, :i],
+                          out=inv[:, i, None, :i])
+                inv[:, i, :i] *= -inv_diag[:, i, None]
             diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
             for mem in zf_members:
                 mem.rates[start:stop] = np.log2(

@@ -112,7 +112,8 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
         # seed point with per-user rate <= 2 bits/s/Hz, always finite power
         k_seed = max(1.0, theta.R / 2.0)
         incumbent = reduced_power(k_seed, theta, det)
-        k_cap = max(k_seed, math.ceil(incumbent / theta.rho_d))
+        # a float: past 2^63 an int would make geomspace an object array
+        k_cap = max(k_seed, float(math.ceil(incumbent / theta.rho_d)))
     else:
         if isinstance(k_max, bool) or not (math.isfinite(k_max) and k_max >= 1):
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")

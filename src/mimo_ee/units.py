@@ -96,7 +96,11 @@ def normalize(p: PhysicalParams) -> PowerProfile:
     Rejects inputs whose ratios overflow double precision rather than
     letting infinities leak into the optimizer.
     """
-    scale = p.path_gain / (p.noise_psd * p.bandwidth_hz)
+    noise = p.noise_psd * p.bandwidth_hz
+    if noise == 0.0:
+        raise ValueError("noise power noise_psd * bandwidth_hz underflows to 0; "
+                         "input ratios exceed double range")
+    scale = p.path_gain / noise
     rho_r = p.p_r * scale
     rho_d = (p.p_t + p.p_dec) * scale
     rho_s = p.p_s * scale

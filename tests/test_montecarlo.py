@@ -249,6 +249,25 @@ class TestNoRedraw:
         assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth
 
 
+class TestForwardSubstitution:
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_zf_rates_match_the_gram_inverse(self, k):
+        # m = k + 1 gives the last user's L_kk^2 ~ Gamma(1), the worst
+        # conditioned square factor; at k = 16 the trials span three chunks
+        m, trials, seed = k + 1, 300, 21
+        members = [mc._Member(McConfig(m=m, k=k, gamma=g, detector=ZF,
+                                       trials=trials, seed=seed))
+                   for g in (0.02, 3.0)]
+        mc._process_slab(seed, m, k, 0, trials, [], members)
+        gammas, uniforms = _slab_streams(seed, 0)
+        for t in range(trials):
+            lower = _reference_factor(gammas, uniforms, m, k)
+            diag_inv = np.diagonal(np.linalg.inv(lower @ lower.conj().T)).real
+            for mem in members:
+                want = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum()
+                assert mem.rates[t] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestValidation:
     def test_config_rejections(self):
         good = dict(m=4, k=2, gamma=0.5, detector=MRC)
@@ -321,7 +340,12 @@ def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
             g = mem.cfg.gamma
             mem.rates[t] = np.log2(1.0 + (g * d * d) / (g * cross + d)).sum()
         if zf_members:
-            inv = np.linalg.inv(lower)
+            # L^{-1} by forward substitution, one row at a time
+            inv = np.zeros((k, k), dtype=np.complex128)
+            for i in range(k):
+                scale = 1.0 / lower[i, i].real
+                inv[i, i] = scale
+                inv[i, :i] = (lower[i, :i] @ inv[:i, :i]) * -scale
             diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=0)
             # the column norms of L^{-1} are the diagonal of W^{-1}
             assert np.allclose(diag_inv, np.diagonal(np.linalg.inv(gram)).real,

@@ -243,6 +243,13 @@ class TestMinimizeRelaxed:
         with pytest.raises(InfeasibleError):
             minimize_relaxed(_theta(R=2000.0), MRC, k_max=1.0)
 
+    def test_huge_rate_reaches_the_large_rate_limit(self):
+        # the incumbent's cap 1e300 / rho_d is past int64; MRC's relaxed
+        # efficiency tends to 1 / (e ln 2) as R grows at alpha = 2, rho = 1
+        out = minimize_relaxed(_theta(R=1e300), MRC)
+        assert out.zeta == pytest.approx(1.0 / (math.e * math.log(2.0)),
+                                         rel=0, abs=1e-9)
+
     @pytest.mark.parametrize("k_max", [True, False])
     def test_bool_k_max_is_not_a_count(self, k_max):
         with pytest.raises(ValueError, match="k_max must be finite and >= 1"):

@@ -452,6 +452,39 @@ class TestCli:
         else:
             assert err == ""
 
+    def test_huge_rate_thresholds_exits_0(self, capsys, tmp_path):
+        path = tmp_path / "huge_rate.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                           "rho_s": 1.0}, "thresholds": {"R": 1e300}}))
+        rc, out, err = _run(capsys, "thresholds", "--config", str(path))
+        assert rc == 0, err
+        assert err == ""
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["bound_holds"] == "true" and row["error"] == ""
+
+    @pytest.mark.parametrize("cmd,text,word", [
+        # a 401-digit number has no double
+        ("optimize", '{"normalized": {"alpha": 1%s, "rho_r": 1, "rho_d": 1,'
+         ' "rho_s": 1}, "optimize": {"R": 8}}' % ("0" * 400), "alpha"),
+        ("sweep", '{"normalized": {"alpha": 2, "rho_r": 1, "rho_d": 1,'
+         ' "rho_s": 1}, "sweep": {"r_values": [4, 1%s]}}' % ("0" * 400),
+         "r_values"),
+        # past Python's 4300-digit limit, json refuses the integer itself
+        ("optimize", '{"normalized": {"alpha": 2, "rho_r": 1, "rho_d": 1,'
+         ' "rho_s": 1}, "optimize": {"R": 1%s}}' % ("0" * 4999),
+         "invalid JSON"),
+    ], ids=["401-digit-alpha", "401-digit-rate", "5000-digit-rate"])
+    def test_numbers_without_a_double_exit_2(self, capsys, tmp_path, cmd,
+                                             text, word):
+        path = tmp_path / "number.json"
+        path.write_text(text)
+        rc, out, err = _run(capsys, cmd, "--config", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: config: ") and word in err
+        assert err.count("\n") == 1
+
     def test_unallocatable_trial_count_exits_3(self, capsys, tmp_path):
         # 8 PB of rates lies beyond a 47-bit address space, so numpy
         # refuses the array before touching memory
@@ -544,6 +577,16 @@ class TestPhysicalConfig:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: config: ") and "pa_slope" in err
+        assert err.count("\n") == 1
+
+    def test_underflowing_noise_power_exits_2(self, capsys, tmp_path):
+        # noise_psd * bandwidth_hz rounds to 0: no scale to normalize by
+        path = self._write(tmp_path, "physical", {
+            **_PHYSICAL, "noise_psd": 1e-200, "bandwidth_hz": 1e-200})
+        rc, out, err = _run(capsys, "optimize", "--config", path)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: config: ") and "underflows" in err
         assert err.count("\n") == 1
 
 

@@ -35,6 +35,12 @@ class TestNormalize:
         with pytest.raises(ValueError, match="finite"):
             normalize(p)
 
+    def test_underflowing_noise_power_rejected(self):
+        # 1e-200 * 1e-200 rounds to 0, which would divide by zero
+        p = _params(noise_psd=1e-200, bandwidth_hz=1e-200)
+        with pytest.raises(ValueError, match="underflows"):
+            normalize(p)
+
     @given(p_r=st.floats(1e-6, 1e3), p_t=st.floats(1e-6, 1e3),
            p_dec=st.floats(1e-6, 1e3))
     def test_power_ratios_survive_normalization(self, p_r, p_t, p_dec):
