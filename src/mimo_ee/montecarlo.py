@@ -29,11 +29,12 @@ of a slab depends on the draws of the trials before it.
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
 complex matrices, which reuse the same buffers: the Gamma draws, the
 uniforms, L's off-diagonal entries, L, its conjugate, the Gram matrices
-and, for ZF, L's inverse. Every stage, from the draw to each member's per-trial rates,
-runs on one chunk at a time. A chunk only bounds how many trials are
-handled at once; it never moves a slab boundary, both streams are read
-element by element, and every other operation acts per trial or along a
-trial's own axes, so every result is the same for any chunk size.
+and, for ZF, L's inverse, built by forward substitution. Every stage,
+from the draw to each member's per-trial rates, runs on one chunk at a
+time. A chunk only bounds how many trials are handled at once; it
+never moves a slab boundary, both streams are read element by element,
+and every other operation acts per trial or along a trial's own axes,
+so every result is the same for any chunk size.
 Memory per worker thread is the chunk buffers plus what one chunk's
 rates derive from L, plus each member's per-trial rates.
 """
