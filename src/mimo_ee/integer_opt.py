@@ -2,10 +2,13 @@
 
 For each K the power is convex in M, so only the floor and ceiling of the
 continuous optimum (clamped to the feasible region) need to be checked.
-The search scans K upward in numpy blocks that double in size. A
-rate-aware lower bound on the power of every larger K ends the scan at
-the first K whose bound reaches the best power below it, exactly where a
-one-K-at-a-time loop would stop, so no externally supplied cap is needed.
+The search scans K upward in numpy blocks that double in size, from the
+first K whose 2^(R/K) is a finite double. A rate-aware lower bound on
+the power of every larger K ends the scan at the first K whose bound
+reaches the best power below it, exactly where a one-K-at-a-time loop
+would stop, so no externally supplied cap is needed. For MRC the bound
+charges the interference antennas through a convex minorant, which
+fires near 1.2 K* where the K -> inf limit fired near 1.8 K*.
 One kernel, `_block_powers`, ranks the candidates of every K and gives
 the winner's M as an exact integer, so only the winning design is built
 into an `EfficiencyReport`.
@@ -31,8 +34,9 @@ from .units import SystemParams
 _K_CEILING = 10_000_000
 # the scan's K blocks start this small, so short searches stay cheap,
 # and double up to the largest, which bounds the temporaries' memory
+# (the two M candidates of a block share (2, size) arrays)
 _FIRST_BLOCK = 512
-_LAST_BLOCK = 65_536
+_LAST_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -52,49 +56,51 @@ class Optimum:
 
 
 def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
-                  ) -> tuple[np.ndarray, Callable[[int], int]]:
-    """Least total power at every K in the float array ks, and its M.
+                  ) -> tuple[np.ndarray, Callable[[int], int], np.ndarray]:
+    """Least total power, its M, and the tail bound at every K in ks.
 
-    Per K the candidates are the floor and ceiling of `optimal_m`'s
+    ks is a float array. Per K the candidates are the floor and ceiling of `optimal_m`'s
     continuous optimum, clamped to the least feasible M (K + 1 for ZF,
     floor(boundary) + 2 for MRC), or that M and the next where the
-    optimum is not finite. Each power repeats `evaluate_efficiency`'s
-    operations in its order, so it equals that function's total power bit
-    for bit, and is +inf where it would raise. numpy's own power differs
-    from the C library's in the last bit on some arguments, so 2^(R/K) is
-    taken from math.pow. best_m(i) is the least M attaining a finite
-    powers[i], as an exact int also past 2^53.
+    optimum is not finite; both are priced in one pass. Each power
+    repeats `evaluate_efficiency`'s operations in its order, so it equals
+    that function's total power bit for bit, and is +inf where it would
+    raise. numpy's own power differs from the C library's in the last bit
+    on some arguments, so 2^(R/K) is taken from math.pow. best_m(i) is the
+    least M attaining a finite powers[i], as an exact int also past 2^53.
+    The third array is `_tail_lower_bound` at each K.
     """
     x = theta.R / ks
-    reachable = x < _EXP2_OVERFLOW
+    # an unreachable K keeps e = 0, so its gamma is never positive
     e = np.fromiter(map(math.pow, repeat(2.0),
-                        np.where(reachable, x, 0.0).tolist()),
+                        np.where(x < _EXP2_OVERFLOW, x, 0.0).tolist()),
                     float, ks.size) - 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
+        # the least feasible M and the next, each rounded once, as the
+        # float of best_m's exact int is
         if det is Detector.ZF:
-            m_lo, m_next = ks + 1.0, ks + 2.0
+            boundary = None
+            least = ks + [[1.0], [2.0]]
             m_cont = ks + surplus
         else:
             boundary = (ks - 1.0) * e
-            # each rounded once, as float(m_lo) and float(m_lo + 1) are
-            m_lo, m_next = np.floor(boundary) + 2.0, np.floor(boundary) + 3.0
+            least = np.floor(boundary) + [[2.0], [3.0]]
             m_cont = 1.0 + boundary + surplus
-
-        def total(m: np.ndarray) -> np.ndarray:
-            denom = m - ks if det is Detector.ZF else m - 1.0 - boundary
-            gamma = e / denom
-            power = _power_terms(m, ks, gamma, theta)[4]
-            zeta = theta.R / power
-            ok = ((denom > 0) & (gamma > 0) & (gamma < math.inf)
-                  & np.isfinite(zeta) & (zeta >= sys.float_info.min))
-            return np.where(ok, power, math.inf)
-
         finite = np.isfinite(m_cont)
-        lower = total(np.where(finite, np.maximum(m_lo, np.floor(m_cont)),
-                               m_lo))
-        upper = total(np.where(finite, np.maximum(m_lo, np.ceil(m_cont)),
-                               m_next))
+        # row 0 holds the floor candidates, row 1 the ceilings
+        m = np.where(finite, np.maximum(least[0], np.stack(
+            (np.floor(m_cont), np.ceil(m_cont)))), least)
+        denom = m - ks if det is Detector.ZF else m - 1.0 - boundary
+        gamma = e / denom
+        power = _power_terms(m, ks, gamma, theta)[4]
+        zeta = theta.R / power
+        # e >= 0, so gamma > 0 implies denom > 0, and an infinite gamma
+        # makes zeta 0
+        lower, upper = np.where((gamma > 0) & np.isfinite(zeta)
+                                & (zeta >= sys.float_info.min),
+                                power, math.inf)
+        bound = _tail_lower_bound(ks, x, e, boundary, theta, det)
 
     def best_m(i: int) -> int:
         # float(m_lo) rounds past 2^53, so the clamp is rebuilt as an int;
@@ -106,18 +112,41 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
         rounded = math.ceil(m_cont[i]) if upper_wins else math.floor(m_cont[i])
         return max(m_min, rounded)
 
-    return np.where(reachable, np.minimum(lower, upper), math.inf), best_m
+    return np.minimum(lower, upper), best_m, bound
 
 
-def _tail_lower_bound(k: int | np.ndarray, theta: SystemParams,
-                      det: Detector) -> float | np.ndarray:
-    """Power lower bound valid for every user count >= k (int or array).
+# below this per-user rate R/K the MRC tail bound keeps its K -> inf form
+_SLOPE_X_MIN = 2.0 ** -8
 
-    With e(K) = 2^(R/K) - 1 and 2^x - 1 >= x ln2, every K' >= k has
-    K' e(K') >= R ln2, so PA plus surplus antennas cost at least
-    2 sqrt(alpha rho_r R ln2), and (K'-1) e(K') >= R ln2 (1 - 1/k) for the
-    MRC interference antennas. The (1 - 1e-12) factor keeps rounding from
-    pruning a K that would win.
+
+def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
+                      boundary: np.ndarray | None, theta: SystemParams,
+                      det: Detector) -> np.ndarray:
+    """Power lower bound valid for every user count K' >= k, at each k in ks.
+
+    x = R/k, e = 2^x - 1 and boundary = (k - 1) e are `_block_powers`'
+    arrays. Minimizing the power over real M, then 2^x - 1 >= x ln2 (so
+    K' e(K') >= R ln2), gives power(K') >= C + h(K') with
+    C = 2 sqrt(alpha rho_r R ln2) + rho_r + rho_s and
+    h(K') = K' rho_d + rho_r (K'-1) e(K').
+
+    MRC: K' - 1 >= (1 - 1/k) K', and K' e(K') is convex in K', so
+    f(K') = K' rho_d + (1 - 1/k) rho_r K' e(K') <= h(K') is convex with
+    slope rho_d - (1 - 1/k) rho_r (1 - 2^x (1 - x ln2)) at k. Where that
+    slope is positive, f climbs from f(k) = h(k), and the bound is C + h(k).
+    Elsewhere, and below x = 2^-8, it is the K' -> inf limit
+    C + k rho_d + (1 - 1/k) rho_r R ln2. ZF: the larger of
+    (k+1) rho_r + k rho_d + rho_s and C - rho_r + k (rho_r + rho_d).
+
+    Rounding: every bound is scaled by (1 - 1e-12). Where x >= 2^-8,
+    math.pow's error of under one ulp leaves e(K') within 4e-13 relative
+    of 2^(R/K') - 1 for every K' <= 4k (1e-13 at k), and the sums round
+    by a few ulps, so the margin covers K' <= 4k. Past 2k the slope of f
+    is at least rho_d / 2, and its climb outruns the absolute error of
+    K' e(K'). The slope test is decided within 1e-10 of its terms; a
+    slope that is truly negative by that much lets f dip below f(k) by a
+    second-order amount, under 1e-8 of the margin. So rounding cannot
+    prune a K that would win.
     """
     rate_ln2 = theta.R * math.log(2.0)
     # three square roots, so no product overflows before the root
@@ -125,13 +154,20 @@ def _tail_lower_bound(k: int | np.ndarray, theta: SystemParams,
                    * math.sqrt(rate_ln2))
     if det is Detector.ZF:
         bound = np.maximum(
-            (k + 1) * theta.rho_r + k * theta.rho_d + theta.rho_s,
-            pa_antennas + k * (theta.rho_r + theta.rho_d) + theta.rho_s)
-    else:
-        bound = (pa_antennas
-                 + theta.rho_r * (1.0 + rate_ln2 * (1.0 - 1.0 / k))
-                 + k * theta.rho_d + theta.rho_s)
-    return bound * (1.0 - 1e-12)
+            (ks + 1) * theta.rho_r + ks * theta.rho_d + theta.rho_s,
+            pa_antennas + ks * (theta.rho_r + theta.rho_d) + theta.rho_s)
+        return bound * (1.0 - 1e-12)
+    share = (ks - 1.0) / ks
+    # -d(K e(K))/dK = 1 - 2^x (1 - x ln2), as x ln2 2^x - (2^x - 1)
+    drop = x * (e + 1.0) * math.log(2.0) - e
+    # strict, so a ratio that overflows to inf proves nothing
+    convex = share * drop < theta.rho_d / theta.rho_r
+    if x[-1] < _SLOPE_X_MIN:
+        convex &= x >= _SLOPE_X_MIN
+    interference = np.where(convex, theta.rho_r * boundary,
+                            (theta.rho_r * rate_ln2) * share)
+    return ((pa_antennas + theta.rho_r + theta.rho_s
+             + (ks * theta.rho_d + interference)) * (1.0 - 1e-12))
 
 
 def _require_k_max(k_max: int | None) -> None:
@@ -160,16 +196,16 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     k_ceiling = k_max if k_max is not None else _K_CEILING
     power_star, k_star, m_star = math.inf, 0, 0
     pruned_at: int | None = None
-    k_lo, size = 1, _FIRST_BLOCK
+    # 2^(R/K) overflows at every K <= R / 1024, so those K cost +inf
+    k_lo, size = math.floor(theta.R / _EXP2_OVERFLOW) + 1, _FIRST_BLOCK
     while pruned_at is None and k_lo <= k_ceiling:
         ks = np.arange(k_lo, min(k_lo + size, k_ceiling + 1), dtype=float)
-        powers, best_m = _block_powers(ks, theta, det)
+        powers, best_m, bound = _block_powers(ks, theta, det)
         # best power over all K below each entry, the incumbent included
         best_below = np.minimum.accumulate(
             np.concatenate(([power_star], powers[:-1])))
-        fired = np.flatnonzero(
-            (best_below < math.inf)
-            & (_tail_lower_bound(ks, theta, det) >= best_below))
+        fired = np.flatnonzero((best_below < math.inf)
+                               & (bound >= best_below))
         if fired.size:
             pruned_at = k_lo + int(fired[0])
             powers = powers[:fired[0]]

@@ -1,14 +1,15 @@
 """Integer (M, K) optimizer: brute-force agreement, frozen cases, pruning."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
-from mimo_ee.integer_opt import (Optimum, _block_powers, _tail_lower_bound,
-                                 optimize_exact)
+from mimo_ee.integer_opt import (_FIRST_BLOCK, _LAST_BLOCK, Optimum,
+                                 _block_powers, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -59,7 +60,7 @@ def _best_m_for_k(k, theta, det):
 
 def _kernel_at(k, theta, det):
     """The block kernel's power and M at the single user count k."""
-    powers, best_m = _block_powers(np.array([float(k)]), theta, det)
+    powers, best_m, _ = _block_powers(np.array([float(k)]), theta, det)
     return float(powers[0]), best_m(0)
 
 
@@ -267,35 +268,36 @@ class TestErrors:
 
 # (R, alpha, rho_r, rho_d, rho_s), detector, k_max ->
 #     (M*, K*, zeta*, k_range_searched, pruned_at), pruned_at under the
-#     earlier rate-blind tail bound rho_r + k*rho_d + rho_s (ZF: M >= K+1).
-#     (M*, K*, zeta*) are frozen from that earlier search, so any rework
-#     must reproduce them bit for bit; the K range and pruned_at come from
-#     the current bound, which may only prune at or before the earlier one
+#     earlier tail bound, which charged the MRC interference antennas
+#     only their K -> inf limit rho_r R ln2 (1 - 1/k).
+#     (M*, K*, zeta*) are frozen from the first, rate-blind search, so any
+#     rework must reproduce them bit for bit; the K range and pruned_at come
+#     from the current bound, which may only prune at or before the earlier one
 FROZEN_OPTIMA = (
-    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 44), 45), 83),
-    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 17), 18), 24),
-    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 9), 10), 11),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 34), 35), 45),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 17), 18), 18),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 8), 9), 10),
     ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 6), 7), 7),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 26), 27), 39),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 15), 16), 20),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 149), 150), 259),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 47), 48), 60),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 31), 32), 34),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 18), 19), 20),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 88), 89), 120),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 41), 42), 51),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 586), 587), 971),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 147), 148), 173),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 124), 125), 130),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 63), 64), 65),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 342), 343), 448),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 130), 131), 148),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 3611), 3612), 5820),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 683), 684), 748),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 769), 770), 794),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 323), 324), 328),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 2095), 2096), 2671),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 612), 613), 657),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 21), 22), 27),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 15), 16), 16),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 108), 109), 150),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 47), 48), 48),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 27), 28), 32),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 18), 19), 19),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 68), 69), 89),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 41), 42), 42),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 402), 403), 587),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 147), 148), 148),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 103), 104), 125),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 63), 64), 64),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 253), 254), 343),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 130), 131), 131),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 2345), 2346), 3612),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 683), 684), 684),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 618), 619), 770),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 323), 324), 324),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 1472), 1473), 2096),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 612), 613), 613),
     ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None), None),
     ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None), None),
     ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (1, 40), None), None),
@@ -305,13 +307,13 @@ FROZEN_OPTIMA = (
     ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (1, 1000), None), None),
     ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None), None),
     ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None), None),
-    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 22), 23), 36),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 22), 23), 23),
     ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None), None),
     ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None), None),
     ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None), None),
     ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None), None),
     ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (1, 700), None), None),
-    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 854), 855), 982),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 854), 855), 855),
 )
 
 
@@ -334,11 +336,40 @@ class TestFrozenOptima:
                 assert got.k_range_searched == (1, got.pruned_at - 1), case
 
 
+def _scalar_tail_bound(k, theta, det):
+    """The tail bound at user count k, one K at a time in plain floats.
+
+    Written apart from the block kernel, in the same operations and order,
+    so it must agree with it bit for bit. MRC: C + h(k) where the convex
+    minorant of h climbs from k, else the K -> inf limit of the
+    interference antennas; ZF: the rate-blind and the rate-aware bound.
+    """
+    rate_ln2 = theta.R * math.log(2.0)
+    pa_antennas = (2.0 * math.sqrt(theta.alpha) * math.sqrt(theta.rho_r)
+                   * math.sqrt(rate_ln2))
+    if det is ZF:
+        return max((k + 1) * theta.rho_r + k * theta.rho_d + theta.rho_s,
+                   pa_antennas + k * (theta.rho_r + theta.rho_d)
+                   + theta.rho_s) * (1.0 - 1e-12)
+    x = theta.R / k
+    e = 2.0 ** x - 1.0 if x < 1024.0 else 0.0
+    share = (k - 1.0) / k
+    drop = x * (e + 1.0) * math.log(2.0) - e
+    if x >= 2.0 ** -8 and share * drop < theta.rho_d / theta.rho_r:
+        interference = theta.rho_r * ((k - 1.0) * e)
+    else:
+        interference = (theta.rho_r * rate_ln2) * share
+    return ((pa_antennas + theta.rho_r + theta.rho_s
+             + (k * theta.rho_d + interference)) * (1.0 - 1e-12))
+
+
 def _sequential_search(theta, det, k_max=None):
     """optimize_exact as a one-K-at-a-time loop over _best_m_for_k.
 
-    The reference for the block scan: same tail bound, same ceiling, same
-    tie rule (strict improvement in ascending K), same Optimum fields.
+    The reference for the block scan: same tail bound (computed apart, in
+    scalar floats), same ceiling, same tie rule (strict improvement in
+    ascending K), same Optimum fields. It starts at K = 1, so it also
+    checks that the scan may skip the K whose 2^(R/K) overflows.
     """
     power_star, m_star, k_star = math.inf, 0, 0
     pruned_at = None
@@ -346,7 +377,7 @@ def _sequential_search(theta, det, k_max=None):
     k = 1
     k_ceiling = k_max if k_max is not None else 10_000_000
     while k <= k_ceiling:
-        if k_star and _tail_lower_bound(k, theta, det) >= power_star:
+        if k_star and _scalar_tail_bound(k, theta, det) >= power_star:
             pruned_at = k
             break
         power, m = _best_m_for_k(k, theta, det)
@@ -361,6 +392,16 @@ def _sequential_search(theta, det, k_max=None):
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det,
                    k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)
+
+
+def _scan_bound(k, theta, det):
+    """The tail bound at k as the scan computes it, inside k's own block."""
+    k_lo, size = math.floor(theta.R / 1024.0) + 1, _FIRST_BLOCK
+    while k >= k_lo + size:
+        k_lo += size
+        size = min(2 * size, _LAST_BLOCK)
+    ks = np.arange(k_lo, k_lo + size, dtype=float)
+    return float(_block_powers(ks, theta, det)[2][k - k_lo])
 
 
 def _reference_corpus():
@@ -418,7 +459,7 @@ class TestBlockScan:
             k0 = int(rng.integers(1, 3000))
             ks = np.arange(k0, k0 + 300, dtype=float)
             want = [_best_m_for_k(k, theta, det) for k in range(k0, k0 + 300)]
-            powers, best_m = _block_powers(ks, theta, det)
+            powers, best_m, _ = _block_powers(ks, theta, det)
             assert powers.tolist() == [p for p, _ in want], (theta, det)
             finite = [i for i, (p, _) in enumerate(want) if p < math.inf]
             assert [best_m(i) for i in finite] == [want[i][1] for i in finite], \
@@ -455,9 +496,15 @@ class TestBlockScan:
             self, det, rate, alpha, log_rho_r, log_rho_d, rho_s, k):
         theta = SystemParams(R=rate, alpha=alpha, rho_r=10.0 ** log_rho_r,
                              rho_d=10.0 ** log_rho_d, rho_s=rho_s)
-        bound = _tail_lower_bound(k, theta, det)
-        for j in range(k, k + 201):
-            assert bound <= _best_m_for_k(j, theta, det)[0], j
+        # k itself, then K' past it, far past it, and across block edges
+        for k_bound in (k, 511, 512, 513, 1535, 1536, 1537):
+            if k_bound <= rate / 1024.0:
+                continue  # the scan starts past every K that 2^(R/K) overflows
+            bound = _scan_bound(k_bound, theta, det)
+            assert bound == _scalar_tail_bound(k_bound, theta, det)
+            for j in (*range(k_bound, k_bound + 201), 2 * k_bound,
+                      10 * k_bound):
+                assert bound <= _best_m_for_k(j, theta, det)[0], (k_bound, j)
 
 
 class TestCertification:
@@ -472,10 +519,11 @@ class TestCertification:
         assert got.k_range_searched == (1, 1)
 
     def test_tiny_user_power_stays_bounded(self):
-        # 939 266 K under the rate-blind bound
+        # 939 266 K under the rate-blind bound, 10 700 under the K -> inf
+        # limit of the interference antennas, 7 526 now; 5 % margin
         got = optimize_exact(_theta(R=100.0, rho_d=1e-4), MRC)
         assert got.pruned_at is not None
-        assert got.k_range_searched[1] <= 11_000
+        assert got.k_range_searched[1] <= 7_900
 
     def test_reaching_the_ceiling_uncapped_raises(self, monkeypatch):
         theta = _theta(R=100.0, rho_d=1e-4)
@@ -530,3 +578,23 @@ class TestUnreachableRates:
                                match="no integer design achieves the rate"):
                 optimize_exact(_theta(R=rate), det)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    @pytest.mark.parametrize("k_max", [None, 1, 10_000_000, 10 ** 30])
+    def test_huge_rate_is_refused_at_once(self, det, k_max):
+        # 2^(R/K) overflows at every K up to R / 1024 = 1e297, so the scan
+        # has no K to evaluate below any ceiling
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError,
+                           match="no integer design achieves the rate"):
+            optimize_exact(_theta(R=1e300), det, k_max=k_max)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_scan_starts_at_the_first_reachable_user_count(self, det):
+        # 2100 / K >= 1024 at K = 1 and 2, so the scan starts at K = 3; the
+        # one-K loop starts at 1 and must agree, search range included
+        theta = _theta(R=2100.0)
+        want = _sequential_search(theta, det)
+        assert want.k_range_searched[0] == 1
+        assert optimize_exact(theta, det) == want
