@@ -11,24 +11,27 @@ H. The complex Bartlett decomposition draws W's factor directly:
 W = L L^H, with L lower-trapezoidal (k, min(m, k)), independent
 L_ii = sqrt(Gamma(m - i + 1, 1)) on the diagonal and L_ij ~ CN(0, 1)
 below it. That takes k (k + 1) / 2 variates a trial instead of m k, and
-L_ii > 0, so ZF's factor is never singular and nothing is redrawn;
-`resampled` stays 0.
+L_ii > 0, so ZF's factor is never singular and nothing is redrawn.
+Each off-diagonal entry is a pair of standard normals, real part first,
+scaled by sqrt(1/2).
 
 Determinism contract: work is partitioned into fixed-size slabs of
 trials, all run on one pool of `threads` workers (a single worker at
 threads=1); the thread count only decides which worker handles a slab,
 never where slab boundaries fall. Each slab reads two counter-based
 Philox streams keyed by the seed, one for the Gamma draws and one for
-the uniforms that Box-Muller maps to L's off-diagonal entries; the
-stream kind and the slab index sit in the counter's high words. Each
+the normals of L's off-diagonal entries; the stream kind and the slab
+index sit in the counter's high words. One stream read a chunk of
+Gamma draws, then a chunk of normals, at a time would give a trial
+other draws at another chunk size; two streams keep it out. Each
 stream is read in trial order, so results are bit-identical across
 runs, across thread counts, and between a standalone run and a member
 of a grouped sweep. A trial is addressed only through its slab: trial t
 of a slab depends on the draws of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
-complex matrices, which reuse the same buffers: the Gamma draws, the
-uniforms, L's off-diagonal entries, L, its conjugate, the Gram matrices
+complex matrices, which reuse the same buffers: the Gamma draws, L's
+off-diagonal entries, L, its conjugate, the Gram matrices
 and, for ZF, L's inverse, built by forward substitution. Every stage,
 from the draw to each member's per-trial rates, runs on one chunk at a
 time. A chunk only bounds how many trials are handled at once; it
@@ -37,6 +40,9 @@ and every other operation acts per trial or along a trial's own axes,
 so every result is the same for any chunk size.
 Memory per worker thread is the chunk buffers plus what one chunk's
 rates derive from L, plus each member's per-trial rates.
+
+A point whose simulated or closed-form rate leaves double range, such
+as gamma near 1.7e308, is refused with OverflowError.
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ from .link import AntennaConfig, Detector, rate_achieved
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
 _CHUNK_BYTES = 1 << 19  # (k, k) complex matrices per chunk; its buffers stay in L2
-_GAMMA, _UNIFORM = 0, 1  # a slab's two streams, by the variate kind they draw
+_GAMMA, _NORMAL = 0, 1  # a slab's two streams, by the variate kind they draw
 _Z95 = 1.96         # two-sided 95% normal quantile
-_TWO_PI = 2.0 * math.pi
+_SQRT_HALF = math.sqrt(0.5)  # CN(0, 1) has variance 1/2 per real component
 _SEED_BOUND = 2 ** 64
 
 
@@ -96,28 +102,8 @@ class McResult:
     ci_halfwidth: float     # 95% normal-approximation halfwidth
     bound_rate: float       # closed-form achievable rate at the same gamma
     margin: float           # empirical_rate - bound_rate
-    resampled: int = 0      # ZF redraws; the Bartlett factor never needs one
-
-
-def channel_from_uniforms(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Map uniforms of shape (..., 2, n) to CN(0, 1) entries (..., n).
-
-    Polar Box-Muller with the pair (radius, angle) per entry; each complex
-    coefficient has unit total variance, i.e. 1/2 per real component.
-    The entries are written to `out` (complex128, shape (..., n)) and
-    u is overwritten as scratch.
-    """
-    radius, angle = u[..., 0, :], u[..., 1, :]
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    np.multiply(_TWO_PI, angle, out=angle)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    np.multiply(out.real, radius, out=out.real)
-    np.multiply(out.imag, radius, out=out.imag)
-    return out
+    # always 0: perfbench/tracing.py reads it, the only reason it stays
+    resampled: int = 0
 
 
 def _slab_stream(seed: int, kind: int, slab: int) -> np.random.Generator:
@@ -139,7 +125,7 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     """Fill every member's rates for trials lo..hi-1."""
     n = hi - lo
     gammas = _slab_stream(seed, _GAMMA, lo // _SLAB)
-    uniforms = _slab_stream(seed, _UNIFORM, lo // _SLAB)
+    normals = _slab_stream(seed, _NORMAL, lo // _SLAB)
     r = min(m, k)
     shape = m - np.arange(r)                   # L_ii^2 ~ Gamma(m - i), i from 0
     diag = np.arange(r)
@@ -147,7 +133,6 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     # a trial's Gram takes k^2 complex doubles, 16 k^2 bytes
     chunk = min(n, max(1, _CHUNK_BYTES // (16 * k * k)))
     draws = np.empty((chunk, r))
-    u = np.empty((chunk, 2, rows.size))
     z = np.empty((chunk, rows.size), dtype=np.complex128)
     factor = np.zeros((chunk, k, r), dtype=np.complex128)
     factor_conj = np.empty_like(factor)
@@ -155,41 +140,45 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     if zf_members:     # only the lower triangle is ever written
         inv_buf = np.zeros((chunk, k, k), dtype=np.complex128)
 
-    for a in range(0, n, chunk):
-        c = min(chunk, n - a)
-        start, stop = lo + a, lo + a + c
-        lower = factor[:c]
-        lower[:, diag, diag] = np.sqrt(
-            gammas.standard_gamma(shape, out=draws[:c]))
-        uniforms.random(out=u[:c])
-        lower[:, rows, cols] = channel_from_uniforms(u[:c], out=z[:c])
+    # a rate past double range is refused by _run_group, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, n, chunk):
+            c = min(chunk, n - a)
+            start, stop = lo + a, lo + a + c
+            lower = factor[:c]
+            lower[:, diag, diag] = np.sqrt(
+                gammas.standard_gamma(shape, out=draws[:c]))
+            parts = z[:c].view(np.float64)      # (re, im) of each entry in turn
+            normals.standard_normal(out=parts)
+            parts *= _SQRT_HALF
+            lower[:, rows, cols] = z[:c]
 
-        if mrc_members:
-            np.conjugate(lower, out=factor_conj[:c])
-            gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
-                             out=gram_buf[:c])
-            d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
-            row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
-            cross = row_power - d * d                         # interference power
-            for mem in mrc_members:
-                g = mem.cfg.gamma
-                sinr = (g * d * d) / (g * cross + d)
-                mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
+            if mrc_members:
+                np.conjugate(lower, out=factor_conj[:c])
+                gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
+                                 out=gram_buf[:c])
+                d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
+                row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
+                cross = row_power - d * d                         # interference power
+                for mem in mrc_members:
+                    g = mem.cfg.gamma
+                    sinr = (g * d * d) / (g * cross + d)
+                    mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
 
-        if zf_members:
-            # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;
-            # row i of L^{-1} by forward substitution on rows 0..i-1
-            inv = inv_buf[:c]
-            inv_diag = 1.0 / lower[:, diag, diag].real
-            inv[:, diag, diag] = inv_diag
-            for i in range(1, k):
-                np.matmul(lower[:, i, None, :i], inv[:, :i, :i],
-                          out=inv[:, i, None, :i])
-                inv[:, i, :i] *= -inv_diag[:, i, None]
-            diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
-            for mem in zf_members:
-                mem.rates[start:stop] = np.log2(
-                    1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
+            if zf_members:
+                # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;
+                # row i of L^{-1} by forward substitution on rows 0..i-1
+                inv = inv_buf[:c]
+                inv_diag = 1.0 / lower[:, diag, diag].real
+                inv[:, diag, diag] = inv_diag
+                for i in range(1, k):
+                    np.matmul(lower[:, i, None, :i], inv[:, :i, :i],
+                              out=inv[:, i, None, :i])
+                    inv[:, i, :i] *= -inv_diag[:, i, None]
+                diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
+                for mem in zf_members:
+                    mem.rates[start:stop] = np.log2(
+                        1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
 
 
 def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
@@ -212,9 +201,14 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
     for mem in members:
         cfg = mem.cfg
         empirical = float(mem.rates.mean())
-        spread = float(mem.rates.std(ddof=1)) if trials > 1 else 0.0
         bound = rate_achieved(
             AntennaConfig(M=cfg.m, K=cfg.k), cfg.gamma, cfg.detector)
+        if not (math.isfinite(empirical) and math.isfinite(bound)):
+            raise OverflowError(
+                f"rate out of double range at m={cfg.m}, k={cfg.k}, "
+                f"gamma={cfg.gamma!r}, {cfg.detector.value}: simulated "
+                f"{empirical!r}, closed form {bound!r}")
+        spread = float(mem.rates.std(ddof=1)) if trials > 1 else 0.0
         results.append(McResult(
             empirical_rate=empirical,
             ci_halfwidth=_Z95 * spread / math.sqrt(trials),

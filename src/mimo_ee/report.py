@@ -35,7 +35,7 @@ ERROR_COLUMN = "error"
 
 VALIDATION_COLUMNS = ("m", "k", "gamma", "detector", "trials", "seed",
                       "empirical_rate", "ci_halfwidth", "bound_rate",
-                      "margin", "resampled")
+                      "margin")
 
 TRAJECTORY_COLUMNS = ("R", "k", "m", "zeta", "zeta_limit", ERROR_COLUMN)
 
@@ -189,7 +189,6 @@ def validation_records(configs: Sequence[McConfig], *,
             "ci_halfwidth": res.ci_halfwidth,
             "bound_rate": res.bound_rate,
             "margin": res.margin,
-            "resampled": res.resampled,
         })
     return rows
 

@@ -10,37 +10,33 @@ import pytest
 
 import mimo_ee.montecarlo as mc
 from mimo_ee.link import Detector
-from mimo_ee.montecarlo import (_SLAB, McConfig, bound_gap_sweep,
-                                channel_from_uniforms, simulate)
+from mimo_ee.montecarlo import _SLAB, McConfig, bound_gap_sweep, simulate
 
 MRC, ZF = Detector.MRC, Detector.ZF
 
 
 def _slab_streams(seed, slab):
-    """A slab's Gamma stream and uniform stream: Philox keyed by the seed,
-    the variate kind (0 Gamma, 1 uniform) and the slab in the counter's
+    """A slab's Gamma stream and normal stream: Philox keyed by the seed,
+    the variate kind (0 Gamma, 1 normal) and the slab in the counter's
     high words."""
     return [np.random.Generator(np.random.Philox(
         key=seed, counter=(0, 0, kind, slab))) for kind in (0, 1)]
 
 
-def _reference_factor(gammas, uniforms, m, k):
+def _reference_factor(gammas, normals, m, k):
     """One trial's Bartlett factor L, (k, min(m, k)), drawn entry by entry.
 
     L_ii^2 ~ Gamma(m - i) for i from 0, L_ij ~ CN(0, 1) below the diagonal
-    in row-major order, each from polar Box-Muller on a (radius, angle)
-    pair of uniforms: the trial's radii first, then its angles.
+    in row-major order, each a (real, imaginary) pair of standard normals
+    scaled by sqrt(1/2), drawn as the trial's own 2n normals.
     """
     r = min(m, k)
     below = [(i, j) for i in range(k) for j in range(min(i, r))]
     lower = np.zeros((k, r), dtype=np.complex128)
     for i in range(r):
         lower[i, i] = math.sqrt(gammas.standard_gamma(m - i))
-    u = uniforms.random((2, len(below)))
-    radius = np.sqrt(-np.log(1.0 - u[0]))
-    angle = 2.0 * math.pi * u[1]
-    for (i, j), re, im in zip(below, radius * np.cos(angle),
-                              radius * np.sin(angle)):
+    parts = normals.standard_normal(2 * len(below)) * math.sqrt(0.5)
+    for (i, j), re, im in zip(below, parts[0::2], parts[1::2]):
         lower[i, j] = complex(re, im)
     return lower
 
@@ -77,7 +73,7 @@ class TestChannelDraws:
 
         base = first(5, mc._GAMMA, 0)
         assert np.array_equal(first(5, mc._GAMMA, 0), base)
-        for other in (first(5, mc._UNIFORM, 0), first(5, mc._GAMMA, 1),
+        for other in (first(5, mc._NORMAL, 0), first(5, mc._GAMMA, 1),
                       first(6, mc._GAMMA, 0)):
             assert not np.array_equal(other, base)
 
@@ -94,9 +90,26 @@ class TestChannelDraws:
         for mem, (_, res) in zip(members, want):
             assert float(mem.rates.mean()) == res.empirical_rate
 
-    def test_entries_are_standard_complex_gaussian(self):
-        u = np.random.Generator(np.random.Philox(key=11)).random((2, 20_000))
-        h = channel_from_uniforms(u, np.empty(20_000, dtype=np.complex128))
+    def test_entries_are_standard_complex_gaussian(self, monkeypatch):
+        # the slab's own L, caught where MRC forms its Gram: 2000 trials
+        # of 10 off-diagonal entries each, across two chunks
+        m, k, trials = 8, 5, 2000
+        rows, cols = np.tril_indices(k, -1)
+        seen = []
+        matmul = np.matmul
+
+        def catch(lower, conj, **kwargs):
+            seen.append(lower[:, rows, cols])   # fancy indexing copies
+            return matmul(lower, conj, **kwargs)
+
+        member = mc._Member(McConfig(m=m, k=k, gamma=0.1, detector=MRC,
+                                     trials=trials, seed=11))
+        with monkeypatch.context() as patch:
+            patch.setattr(mc.np, "matmul", catch)
+            mc._process_slab(11, m, k, 0, trials, [member], [])
+        assert len(seen) == 2
+        h = np.concatenate(seen).ravel()
+        assert h.size == 20_000
         power = np.abs(h) ** 2
         assert float(power.mean()) == pytest.approx(1.0, abs=0.02)
         assert float(h.real.var()) == pytest.approx(0.5, abs=0.01)
@@ -106,25 +119,14 @@ class TestChannelDraws:
         assert float((power > 1.0).mean()) == pytest.approx(math.exp(-1.0),
                                                             abs=0.01)
 
-    def test_uniform_mapping_shape_contract(self):
-        u = np.random.Generator(np.random.Philox(key=3)).random((4, 2, 5))
-        radius = np.sqrt(-np.log(1.0 - u[:, 0]))
-        angle = 2.0 * math.pi * u[:, 1]
-        # the entries land in out, pair i of each row mapping to entry i,
-        # and u becomes scratch
-        out = np.empty((4, 5), dtype=np.complex128)
-        assert channel_from_uniforms(u, out=out) is out
-        assert np.array_equal(out.real, radius * np.cos(angle))
-        assert np.array_equal(out.imag, radius * np.sin(angle))
-
     @pytest.mark.parametrize("m,k", [(6, 3), (2, 5)])
     def test_factor_gram_has_wishart_moments(self, m, k):
         # W = L L^H of the Bartlett factor is complex Wishart CW_k(m, I):
         # E W = m I, E |W_ij|^2 = m off the diagonal, E W_ii^2 = m (m + 1)
-        gammas, uniforms = _slab_streams(17, 0)
+        gammas, normals = _slab_streams(17, 0)
         grams = []
         for _ in range(20_000):
-            lower = _reference_factor(gammas, uniforms, m, k)
+            lower = _reference_factor(gammas, normals, m, k)
             grams.append(lower @ lower.conj().T)
         w = np.array(grams)
         off = ~np.eye(k, dtype=bool)
@@ -259,9 +261,9 @@ class TestForwardSubstitution:
                                        trials=trials, seed=seed))
                    for g in (0.02, 3.0)]
         mc._process_slab(seed, m, k, 0, trials, [], members)
-        gammas, uniforms = _slab_streams(seed, 0)
+        gammas, normals = _slab_streams(seed, 0)
         for t in range(trials):
-            lower = _reference_factor(gammas, uniforms, m, k)
+            lower = _reference_factor(gammas, normals, m, k)
             diag_inv = np.diagonal(np.linalg.inv(lower @ lower.conj().T)).real
             for mem in members:
                 want = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum()
@@ -326,13 +328,13 @@ class TestValidation:
 def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
     """The slab one trial at a time, straight from the Bartlett factor.
 
-    The reference for the chunked slab: it shares no chunk, buffer, index
-    table or Box-Muller code with the code under test, only the stream
-    layout and each trial's arithmetic.
+    The reference for the chunked slab: it shares no chunk, buffer or
+    index table with the code under test, only the stream layout and each
+    trial's arithmetic.
     """
-    gammas, uniforms = _slab_streams(seed, lo // _SLAB)
+    gammas, normals = _slab_streams(seed, lo // _SLAB)
     for t in range(lo, hi):
-        lower = _reference_factor(gammas, uniforms, m, k)
+        lower = _reference_factor(gammas, normals, m, k)
         gram = np.matmul(lower, lower.conj().T)
         d = np.diagonal(gram).real
         cross = (gram.real ** 2 + gram.imag ** 2).sum(axis=1) - d * d

@@ -3,9 +3,11 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,7 +229,9 @@ class TestOtherTables:
             assert row["empirical_rate"] == res.empirical_rate
             assert row["margin"] == res.margin
         text = render_csv(records, VALIDATION_COLUMNS)
-        assert text.split("\n")[0] == ",".join(VALIDATION_COLUMNS)
+        assert text.split("\n")[0] == (
+            "m,k,gamma,detector,trials,seed,empirical_rate,ci_halfwidth,"
+            "bound_rate,margin")
         with pytest.raises(ValueError, match="at least one"):
             validation_records([])
 
@@ -498,6 +502,37 @@ class TestCli:
         assert err.startswith("error: numeric: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("detector", ["mrc", "zf"])
+    def test_rate_past_double_range_exits_3(self, capsys, tmp_path,
+                                            detector):
+        # at gamma = 1.7e308 both the simulated and the closed-form rate
+        # overflow; 1e300 still fits, so that point is tabulated
+        def point(gamma):
+            return {"m": 8, "k": 2, "gamma": gamma, "detector": detector}
+
+        def validate(*gammas):
+            path = tmp_path / "snr.json"
+            path.write_text(json.dumps({"montecarlo": {
+                "trials": 2000, "points": [point(g) for g in gammas]}}))
+            with warnings.catch_warnings():   # a numpy warning fails the test
+                warnings.simplefilter("error")
+                return _run(capsys, "validate", "--config", str(path))
+
+        rc, out, err = validate(1e300, 1.7e308)
+        assert rc == 3
+        assert out == ""
+        assert err == (
+            "error: numeric: rate out of double range at m=8, k=2, "
+            f"gamma=1.7e+308, {detector}: simulated "
+            f"{'nan' if detector == 'mrc' else 'inf'}, closed form inf\n")
+
+        rc, out, err = validate(1e300)
+        assert rc == 0 and err == ""
+        row = next(csv.DictReader(out.splitlines()))
+        assert all(math.isfinite(float(row[col]))
+                   for col in ("empirical_rate", "ci_halfwidth",
+                               "bound_rate", "margin"))
+
     def test_bad_flag_exits_2(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", config_path, "--threads", "0"])
@@ -719,8 +754,11 @@ class TestBenchmarkTracePoints:
                 argv = [cmd, "--config", config_path, *flags]
                 assert tracer.call_request(request, main, argv) == 0, argv
         capsys.readouterr()
-        assert tracer.absent == []
+        # the Monte-Carlo draw has no Box-Muller step any more; the tracer
+        # still lists it, so its `montecarlo.boxmuller_s` reads 0
+        assert tracer.absent == ["mimo_ee.montecarlo.channel_from_uniforms"]
         metrics = tracing.layer_metrics(tracer)
+        assert metrics["montecarlo.boxmuller_s"][0] == 0
         assert metrics["cli.busy_s"][0] > 0
         assert metrics["montecarlo.slabs"][0] == 1  # the pool's slab is seen
         assert metrics["montecarlo.draws"][0] == 400
