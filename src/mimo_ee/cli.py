@@ -269,25 +269,21 @@ _COMMANDS = {
 _ONE_ANSWER = ("optimize", "thresholds")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_arg(low: int, high: float, refusal: str):
+    """An argparse type: an integer in [low, high), else `refusal`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(refusal.format(value))
+        return value
+    return parse
 
 
-def _seed_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(
-            f"seed must fit in 64 unsigned bits, got {value}")
-    return value
+_positive_int = _int_arg(1, math.inf, "must be >= 1, got {}")
+_seed_int = _int_arg(0, 2 ** 64, "seed must fit in 64 unsigned bits, got {}")
 
 
 @functools.cache  # parse_args leaves the parser as it was

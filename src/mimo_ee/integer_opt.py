@@ -1,7 +1,10 @@
 """Exact optimization of integer antenna and user counts.
 
 For each K the power is convex in M, so only the floor and ceiling of the
-continuous optimum (clamped to the feasible region) need to be checked.
+continuous optimum need to be checked, clamped to the least feasible M.
+The detectors differ only in link's interference term I, (K - 1) e for
+MRC with e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its
+SNR is e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF.
 The search scans K upward in numpy blocks that double in size, from the
 first K whose 2^(R/K) is a finite double. A rate-aware lower bound on
 the power of every larger K ends the scan at the first K whose bound
@@ -25,8 +28,9 @@ from itertools import repeat
 import numpy as np
 
 from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
-from .link import AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW
-from .relaxation import _require_rho_r
+from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
+                   _headroom, _interference)
+from .relaxation import _require_inputs
 from .units import SystemParams
 
 # hard stop for searches without k_max; the tail bound normally fires
@@ -59,16 +63,15 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
                   ) -> tuple[np.ndarray, Callable[[int], int], np.ndarray]:
     """Least total power, its M, and the tail bound at every K in ks.
 
-    ks is a float array. Per K the candidates are the floor and ceiling of `optimal_m`'s
-    continuous optimum, clamped to the least feasible M (K + 1 for ZF,
-    floor(boundary) + 2 for MRC), or that M and the next where the
-    optimum is not finite; both are priced in one pass. Each power
-    repeats `evaluate_efficiency`'s operations in its order, so it equals
-    that function's total power bit for bit, and is +inf where it would
-    raise. numpy's own power differs from the C library's in the last bit
-    on some arguments, so 2^(R/K) is taken from math.pow. best_m(i) is the
-    least M attaining a finite powers[i], as an exact int also past 2^53.
-    The third array is `_tail_lower_bound` at each K.
+    ks is a float array. Per K the candidates are the floor and ceiling of
+    `optimal_m`'s continuous optimum, clamped to the least feasible M, or
+    that M and the next where the optimum is not finite; both are priced
+    in one pass. Each power repeats `evaluate_efficiency`'s operations in
+    its order, so it equals that function's total power bit for bit, and
+    is +inf where it would raise. numpy's own power differs from the C
+    library's in the last bit on some arguments, so 2^(R/K) is taken from
+    math.pow. best_m(i) is the least M attaining a finite powers[i], as an
+    exact int also past 2^53. The third array is `_tail_lower_bound`'s.
     """
     x = theta.R / ks
     # an unreachable K keeps e = 0, so its gamma is never positive
@@ -77,36 +80,29 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
                     float, ks.size) - 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
-        # the least feasible M and the next, each rounded once, as the
-        # float of best_m's exact int is
-        if det is Detector.ZF:
-            boundary = None
-            least = ks + [[1.0], [2.0]]
-            m_cont = ks + surplus
-        else:
-            boundary = (ks - 1.0) * e
-            least = np.floor(boundary) + [[2.0], [3.0]]
-            m_cont = 1.0 + boundary + surplus
+        interference = _interference(ks, e, det)
+        # the least feasible M, floor(I) + 2, and the next, each rounded
+        # once, as the float of best_m's exact int is
+        least = np.floor(interference) + [[2.0], [3.0]]
+        m_cont = surplus - _headroom(0.0, ks, e, det)   # as in optimal_m
         finite = np.isfinite(m_cont)
         # row 0 holds the floor candidates, row 1 the ceilings
         m = np.where(finite, np.maximum(least[0], np.stack(
             (np.floor(m_cont), np.ceil(m_cont)))), least)
-        denom = m - ks if det is Detector.ZF else m - 1.0 - boundary
-        gamma = e / denom
+        gamma = e / _headroom(m, ks, e, det)
         power = _power_terms(m, ks, gamma, theta)[4]
         zeta = theta.R / power
-        # e >= 0, so gamma > 0 implies denom > 0, and an infinite gamma
-        # makes zeta 0
+        # gamma > 0 implies a positive headroom; an infinite one, zeta 0
         lower, upper = np.where((gamma > 0) & np.isfinite(zeta)
                                 & (zeta >= sys.float_info.min),
                                 power, math.inf)
-        bound = _tail_lower_bound(ks, x, e, boundary, theta, det)
+        bound = _tail_lower_bound(ks, x, e, interference, theta, det)
 
     def best_m(i: int) -> int:
         # float(m_lo) rounds past 2^53, so the clamp is rebuilt as an int;
         # a tie goes to the lower candidate, which is never the larger M
-        k, upper_wins = int(ks[i]), bool(upper[i] < lower[i])
-        m_min = k + 1 if det is Detector.ZF else math.floor(boundary[i]) + 2
+        upper_wins = bool(upper[i] < lower[i])
+        m_min = math.floor(interference[i]) + 2
         if not finite[i]:
             return m_min + upper_wins
         rounded = math.ceil(m_cont[i]) if upper_wins else math.floor(m_cont[i])
@@ -120,11 +116,11 @@ _SLOPE_X_MIN = 2.0 ** -8
 
 
 def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
-                      boundary: np.ndarray | None, theta: SystemParams,
+                      interference: np.ndarray, theta: SystemParams,
                       det: Detector) -> np.ndarray:
     """Power lower bound valid for every user count K' >= k, at each k in ks.
 
-    x = R/k, e = 2^x - 1 and boundary = (k - 1) e are `_block_powers`'
+    x = R/k, e = 2^x - 1 and the interference I are `_block_powers`'
     arrays. Minimizing the power over real M, then 2^x - 1 >= x ln2 (so
     K' e(K') >= R ln2), gives power(K') >= C + h(K') with
     C = 2 sqrt(alpha rho_r R ln2) + rho_r + rho_s and
@@ -152,6 +148,7 @@ def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
     # three square roots, so no product overflows before the root
     pa_antennas = (2.0 * math.sqrt(theta.alpha) * math.sqrt(theta.rho_r)
                    * math.sqrt(rate_ln2))
+    # ZF's own bound: its rate-blind floor (k+1) rho_r has no MRC twin
     if det is Detector.ZF:
         bound = np.maximum(
             (ks + 1) * theta.rho_r + ks * theta.rho_d + theta.rho_s,
@@ -164,10 +161,10 @@ def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
     convex = share * drop < theta.rho_d / theta.rho_r
     if x[-1] < _SLOPE_X_MIN:
         convex &= x >= _SLOPE_X_MIN
-    interference = np.where(convex, theta.rho_r * boundary,
-                            (theta.rho_r * rate_ln2) * share)
+    charge = np.where(convex, theta.rho_r * interference,
+                      (theta.rho_r * rate_ln2) * share)
     return ((pa_antennas + theta.rho_r + theta.rho_s
-             + (ks * theta.rho_d + interference)) * (1.0 - 1e-12))
+             + (ks * theta.rho_d + charge)) * (1.0 - 1e-12))
 
 
 def _require_k_max(k_max: int | None) -> None:
@@ -187,7 +184,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     Without k_max the answer is certified by the tail bound; if the bound
     has not fired by K = 10 000 000 the search raises instead.
     """
-    _require_rho_r(theta)
+    _require_inputs(theta)
     if k_max is None and theta.rho_d <= 0:
         raise ValueError(
             "optimum may lie at K -> inf: supply k_max or a positive rho_d")

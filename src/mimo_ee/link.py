@@ -3,6 +3,10 @@
 The rate expressions are the standard lower bounds on the ergodic rate of
 an i.i.d. Rayleigh uplink with perfect CSI at the receiver; they are exact
 algebraic inverses of the SNR expressions used here.
+
+The detectors differ only in the interference I, (K - 1) e for MRC with
+e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its SNR is
+e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # 2**x overflows IEEE double at x >= 1024
 _EXP2_OVERFLOW = 1024.0
@@ -53,16 +59,26 @@ class AntennaConfig:
             object.__setattr__(self, name, float(v))
 
 
+def _interference(k, e, det: Detector):
+    """I = (K - 1) e for MRC, K - 1 for ZF, on floats or arrays; a float
+    K = 1 gives 0 even where e is inf, an array nan (its power is inf)."""
+    if det is Detector.ZF:
+        return k - 1.0
+    return (k - 1.0) * e if isinstance(k, np.ndarray) or k != 1 else 0.0
+
+
+def _headroom(m, k, e, det: Detector):
+    """SNR denominator M - 1 - I; ZF's is M - K, so it is rounded once."""
+    if det is Detector.ZF:
+        return m - k
+    return m - 1.0 - _interference(k, e, det)
+
+
 def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
     """Whether (M, K) can deliver sum rate `rate` with finite transmit power."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    if det is Detector.ZF:
-        return cfg.M > cfg.K
-    e = exp2_sat(rate / cfg.K) - 1.0
-    # the K=1 guard avoids 0 * inf when 2^R overflows
-    boundary = 0.0 if cfg.K == 1 else (cfg.K - 1.0) * e
-    return cfg.M - 1.0 > boundary
+    return _headroom(cfg.M, cfg.K, exp2_sat(rate / cfg.K) - 1.0, det) > 0.0
 
 
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
@@ -76,12 +92,8 @@ def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
             f"rate {rate} unachievable at any transmit power "
             f"for M={cfg.M}, K={cfg.K} with {det.value}")
     e = exp2_sat(rate / cfg.K) - 1.0
-    if det is Detector.ZF:
-        denom = cfg.M - cfg.K
-    else:
-        denom = cfg.M - 1.0 - (0.0 if cfg.K == 1 else (cfg.K - 1.0) * e)
-    # denom > 0 on a feasible design; gamma is 0 where 2^(R/K) rounds to 1
-    gamma = e / denom
+    # gamma is 0 where 2^(R/K) rounds to 1
+    gamma = e / _headroom(cfg.M, cfg.K, e, det)
     if not 0.0 < gamma < math.inf:
         raise InfeasibleError(
             f"required transmit power overflows double range "

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import Detector, InfeasibleError, exp2_sat
+from .link import (Detector, InfeasibleError, _headroom, _interference,
+                   exp2_sat)
 from .units import SystemParams
 
 _GRID_POINTS = 4096
@@ -46,13 +47,10 @@ class RelaxedOptimum:
     solver_diag: SolverDiag
 
 
-def _require_rho_r(theta: SystemParams) -> None:
+def _require_inputs(theta: SystemParams, k: float = 1.0) -> None:
     if theta.rho_r <= 0:
         raise ValueError(
             "rho_r must be > 0: with free BS antennas the optimal M is unbounded")
-
-
-def _require_k(k: float) -> None:
     if not (math.isfinite(k) and k >= 1):
         raise ValueError(f"k must be finite and >= 1, got {k!r}")
 
@@ -63,13 +61,12 @@ def _objective_grid(k: np.ndarray, theta: SystemParams,
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp2(theta.R / k) - 1.0
         h = 2.0 * np.sqrt(theta.alpha * theta.rho_r * k * e)
-        if det is Detector.MRC:
-            # k=1 must give exactly zero even when e has overflowed to inf
-            extra = np.where(k > 1.0, (k - 1.0) * e, 0.0)
-            total = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
-                     + theta.rho_r * extra)
-        else:
+        if det is Detector.ZF:
+            # ZF's own summation order: MRC's, with I = k - 1, changes bytes
             total = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
+        else:
+            total = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
+                     + theta.rho_r * _interference(k, e, det))
     return np.where(np.isfinite(total), total, np.inf)
 
 
@@ -79,20 +76,17 @@ def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
     Returns +inf where the per-user rate 2^(R/k) overflows; such points are
     never minima because a larger k always brings the power back to finite.
     """
-    _require_rho_r(theta)
-    _require_k(k)
+    _require_inputs(theta, k)
     return float(_objective_grid(np.float64(k), theta, det))
 
 
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     """Closed-form antenna count minimizing the power at fixed user count k."""
-    _require_rho_r(theta)
-    _require_k(k)
+    _require_inputs(theta, k)
     e = exp2_sat(theta.R / k) - 1.0
     surplus = math.sqrt(theta.alpha * k * e / theta.rho_r)
-    if det is Detector.ZF:
-        return k + surplus
-    return 1.0 + (0.0 if k == 1 else (k - 1.0) * e) + surplus
+    # the M whose headroom is the surplus: 1 + I + surplus, ZF's K + surplus
+    return surplus - _headroom(0.0, k, e, det)
 
 
 def minimize_relaxed(theta: SystemParams, det: Detector, *,
@@ -102,18 +96,21 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
     When k_max is not given it is derived from an incumbent evaluation:
     any k with k*rho_d above the incumbent objective cannot win, which
     turns the unbounded domain into a provably sufficient interval. That
-    construction needs rho_d > 0; otherwise the caller must cap k itself.
+    construction needs rho_d > 0 and a finite incumbent/rho_d; otherwise
+    the caller must cap k itself.
     """
-    _require_rho_r(theta)
+    _require_inputs(theta)
     if k_max is None:
         if theta.rho_d <= 0:
             raise ValueError(
                 "optimum may lie at k -> inf: supply k_max or a positive rho_d")
         # seed point with per-user rate <= 2 bits/s/Hz, always finite power
         k_seed = max(1.0, theta.R / 2.0)
-        incumbent = reduced_power(k_seed, theta, det)
+        k_cap = reduced_power(k_seed, theta, det) / theta.rho_d
+        if not math.isfinite(k_cap):
+            raise ValueError("k cap incumbent/rho_d overflows: supply k_max")
         # a float: past 2^63 an int would make geomspace an object array
-        k_cap = max(k_seed, float(math.ceil(incumbent / theta.rho_d)))
+        k_cap = max(k_seed, float(math.ceil(k_cap)))
     else:
         if isinstance(k_max, bool) or not (math.isfinite(k_max) and k_max >= 1):
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")

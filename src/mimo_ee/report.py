@@ -67,9 +67,7 @@ class SweepSpec:
         for a, b in zip(self.r_values, self.r_values[1:]):
             if not a < b:
                 raise ValueError("r_values must be strictly increasing")
-        if not (math.isfinite(self.r_values[0]) and self.r_values[0] > 0):
-            raise ValueError("r_values must be positive and finite")
-        if not math.isfinite(self.r_values[-1]):
+        if not (self.r_values[0] > 0 and math.isfinite(self.r_values[-1])):
             raise ValueError("r_values must be positive and finite")
         if not self.detectors:
             raise ValueError("at least one detector must be selected")

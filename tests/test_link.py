@@ -1,6 +1,7 @@
 """Transmit-SNR and rate formulas: hand values, inverses, orderings."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,17 @@ class TestGammaRequired:
         gammas = [gamma_required(AntennaConfig(M=m, K=4), 8.0, MRC)
                   for m in range(11, 40)]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
+
+    def test_zf_headroom_is_rounded_once_past_2_53(self):
+        # M - K rounds once; (M - 1) - (K - 1) rounds twice and moves
+        # gamma on about one draw in five
+        rng = random.Random(17)
+        for _ in range(2000):
+            m, k = rng.randrange(2 ** 53, 2 ** 56), rng.randrange(1, 1001)
+            rate = rng.uniform(0.5, 50.0)
+            e = 2.0 ** (rate / k) - 1.0
+            assert gamma_required(AntennaConfig(M=m, K=k), rate, ZF) == \
+                e / (float(m) - float(k))
 
     @given(k=st.integers(2, 32), extra=st.integers(1, 200),
            per_user=st.floats(1.0, 8.0))

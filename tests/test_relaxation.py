@@ -95,6 +95,23 @@ class TestReducedPower:
         expect = 2.0 * math.sqrt(2.0 * 1.0 * 2.0 * 3.0) + 2.0 * 2.0 + 1.0
         assert reduced_power(2.0, theta, ZF) == pytest.approx(expect, rel=1e-14)
 
+    def test_summation_order_bit_for_bit(self):
+        # each detector keeps its own order of the sum, so the relaxed
+        # bytes do not move; approx would hide a reordering
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            R, rho_r, rho_d, rho_s = 10.0 ** rng.uniform(-2, 3, 4)
+            theta = _theta(R=R, alpha=rng.uniform(1.01, 4.0), rho_r=rho_r,
+                           rho_d=rho_d, rho_s=rho_s)
+            k = np.float64(10.0 ** rng.uniform(0, 4))
+            e = np.exp2(theta.R / k) - 1.0
+            h = 2.0 * np.sqrt(theta.alpha * theta.rho_r * k * e)
+            zf = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
+            mrc = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
+                   + theta.rho_r * ((k - 1.0) * e))
+            assert reduced_power(float(k), theta, ZF) == zf
+            assert reduced_power(float(k), theta, MRC) == mrc
+
     def test_overflow_maps_to_infinity(self):
         assert reduced_power(1.0, _theta(R=2000.0), MRC) == math.inf
         assert reduced_power(1.0, _theta(R=2000.0), ZF) == math.inf
@@ -118,6 +135,16 @@ class TestReducedPower:
 class TestOptimalM:
     def test_unit_case(self):
         assert optimal_m(_theta(R=1.0, alpha=4.0), 1.0, MRC) == 3.0
+
+    def test_zf_is_k_plus_surplus_past_2_53(self):
+        # 1 + (k - 1) rounds to k - 2 at an odd-mantissa k in [2^53, 2^54),
+        # so ZF's M is K + surplus, rounded once, not 1 + I + surplus
+        theta = _theta(R=10.0)
+        for j in np.random.default_rng(17).integers(0, 2 ** 52, 200):
+            k = 2.0 ** 53 + 2.0 * float(j)
+            surplus = math.sqrt(theta.alpha * k * (2.0 ** (10.0 / k) - 1.0)
+                                / theta.rho_r)
+            assert optimal_m(theta, k, ZF) == k + surplus
 
     def test_two_user_hand_value(self):
         assert optimal_m(_theta(), 2.0, MRC) == \
@@ -249,6 +276,18 @@ class TestMinimizeRelaxed:
         out = minimize_relaxed(_theta(R=1e300), MRC)
         assert out.zeta == pytest.approx(1.0 / (math.e * math.log(2.0)),
                                          rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    @pytest.mark.parametrize("profile", [{"rho_d": 5e-324},
+                                         {"rho_r": 1e10, "rho_d": 1e-300}])
+    def test_overflowing_cap_asks_for_k_max(self, det, profile):
+        # incumbent / rho_d overflows, so no cap can be derived; clamping
+        # it to the largest double would let 2^(R/k) - 1 round to 0
+        theta = _theta(R=10.0, **profile)
+        with pytest.raises(ValueError, match="k_max"):
+            minimize_relaxed(theta, det)
+        out = minimize_relaxed(theta, det, k_max=1e6)
+        assert 1.0 <= out.k_star <= 1e6 and 0.0 < out.zeta < math.inf
 
     @pytest.mark.parametrize("k_max", [True, False])
     def test_bool_k_max_is_not_a_count(self, k_max):

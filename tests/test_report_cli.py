@@ -456,6 +456,24 @@ class TestCli:
         else:
             assert err == ""
 
+    def test_overflowing_relaxation_cap_exits_3(self, capsys, tmp_path):
+        # incumbent / rho_d overflows at rho_d = 5e-324: the relaxed row
+        # asks for --k-max, which ZF's exact search does not need
+        path = tmp_path / "tiny_rho_d.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 5e-324,
+                           "rho_s": 1.0},
+            "optimize": {"R": 10.0, "detectors": ["zf"]}}))
+        rc, out, err = _run(capsys, "optimize", "--config", str(path))
+        assert rc == 3
+        assert err.startswith("error: numeric: ") and "k_max" in err
+        assert err.count("\n") == 1
+        (row,) = csv.DictReader(out.splitlines())
+        assert (row["M_star"], row["K_star"]) == ("10", "5")
+        rc, out, err = _run(capsys, "optimize", "--config", str(path),
+                            "--k-max", "100")
+        assert rc == 0 and err == ""
+
     def test_huge_rate_thresholds_exits_0(self, capsys, tmp_path):
         path = tmp_path / "huge_rate.json"
         path.write_text(json.dumps({
