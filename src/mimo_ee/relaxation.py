@@ -2,8 +2,10 @@
 
 For a fixed real user count k the optimal antenna count has a closed form,
 which collapses the design problem to a one-dimensional minimization over
-k. The solver evaluates that reduced objective on a dense logarithmic grid
-over [1, k_cap] and then zooms into the winning bracket with linear grids.
+k. The solver evaluates that reduced objective on a 4096-point logarithmic
+grid over [1, k_cap], then zooms into the winning bracket with 1024-point
+linear grids, both images of unit grids built once. It forms 2^(R/k) - 1 as
+expm1(R ln2 / k), which does not cancel where R/k is tiny.
 
 The logarithmic grid is needed, not a safeguard: the MRC objective is not
 unimodal. At R=1.8350427952080244, alpha=1.1773640808511252,
@@ -26,7 +28,10 @@ from .link import (Detector, InfeasibleError, _headroom, _interference,
 from .units import SystemParams
 
 _GRID_POINTS = 4096
+_ZOOM_POINTS = 1024
 _REL_TOL = 1e-9
+_UNIT = np.linspace(0.0, 1.0, _GRID_POINTS)
+_ZOOM_UNIT = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -59,15 +64,21 @@ def _objective_grid(k: np.ndarray, theta: SystemParams,
                     det: Detector) -> np.ndarray:
     """Reduced power objective on an array of k values; overflow maps to +inf."""
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp2(theta.R / k) - 1.0
-        h = 2.0 * np.sqrt(theta.alpha * theta.rho_r * k * e)
+        e = np.expm1((theta.R * math.log(2.0)) / k)
+        # one fixed order per detector, ZF h + k (rho_r + rho_d) + rho_s and
+        # MRC h + rho_r + rho_s + k rho_d + rho_r I (not ZF's with I = k - 1)
+        total = np.sqrt((theta.alpha * theta.rho_r) * k * e)
+        total *= 2.0  # h = 2 sqrt(alpha rho_r k e)
         if det is Detector.ZF:
-            # ZF's own summation order: MRC's, with I = k - 1, changes bytes
-            total = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
+            total += k * (theta.rho_r + theta.rho_d)
+            total += theta.rho_s
         else:
-            total = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
-                     + theta.rho_r * _interference(k, e, det))
-    return np.where(np.isfinite(total), total, np.inf)
+            total += theta.rho_r
+            total += theta.rho_s
+            total += k * theta.rho_d
+            total += theta.rho_r * _interference(k, e, det)
+    total[np.isnan(total)] = np.inf  # terms are >= 0: not finite is inf or nan
+    return total
 
 
 def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
@@ -77,7 +88,7 @@ def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
     never minima because a larger k always brings the power back to finite.
     """
     _require_inputs(theta, k)
-    return float(_objective_grid(np.float64(k), theta, det))
+    return float(_objective_grid(np.array([float(k)]), theta, det)[0])
 
 
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
@@ -109,14 +120,16 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
         k_cap = reduced_power(k_seed, theta, det) / theta.rho_d
         if not math.isfinite(k_cap):
             raise ValueError("k cap incumbent/rho_d overflows: supply k_max")
-        # a float: past 2^63 an int would make geomspace an object array
         k_cap = max(k_seed, float(math.ceil(k_cap)))
     else:
         if isinstance(k_max, bool) or not (math.isfinite(k_max) and k_max >= 1):
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
         k_cap = float(k_max)
 
-    grid = np.geomspace(1.0, k_cap, _GRID_POINTS)
+    # exp(unit ln k_cap): exp(0) is 1, but exp(log(x)) need not be x
+    grid = _UNIT * math.log(k_cap)
+    np.exp(grid, out=grid)
+    grid[-1] = k_cap
     values = _objective_grid(grid, theta, det)
     best = int(np.argmin(values))  # first minimum wins, i.e. smaller k on ties
     if not math.isfinite(values[best]):
@@ -132,13 +145,15 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
     lo, hi = bracket
     rounds = 0
     while hi - lo > _REL_TOL * max(1.0, hi):
-        grid = np.linspace(lo, hi, _GRID_POINTS)
+        # hi <= 2 lo, so hi - lo is exact and the last point is hi itself
+        grid = _ZOOM_UNIT * (hi - lo)
+        grid += lo
         values = _objective_grid(grid, theta, det)
         best = int(np.argmin(values))
         if values[best] < objective:
             objective, k_star = float(values[best]), float(grid[best])
         lo = float(grid[max(best - 1, 0)])
-        hi = float(grid[min(best + 1, _GRID_POINTS - 1)])
+        hi = float(grid[min(best + 1, _ZOOM_POINTS - 1)])
         rounds += 1
 
     return RelaxedOptimum(

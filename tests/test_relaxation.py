@@ -1,5 +1,6 @@
 """Continuous relaxation: closed forms, solver quality, oracle agreement."""
 
+import decimal
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from mimo_ee import relaxation
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, InfeasibleError, is_feasible
 from mimo_ee.relaxation import (_objective_grid, minimize_relaxed, optimal_m,
@@ -96,21 +98,58 @@ class TestReducedPower:
         assert reduced_power(2.0, theta, ZF) == pytest.approx(expect, rel=1e-14)
 
     def test_summation_order_bit_for_bit(self):
-        # each detector keeps its own order of the sum, so the relaxed
-        # bytes do not move; approx would hide a reordering
+        # each detector keeps its own order of the sum and e = 2^(R/k) - 1
+        # is expm1(R ln2 / k), so the relaxed bytes do not move; approx
+        # would hide a reordering
         rng = np.random.default_rng(17)
         for _ in range(500):
             R, rho_r, rho_d, rho_s = 10.0 ** rng.uniform(-2, 3, 4)
             theta = _theta(R=R, alpha=rng.uniform(1.01, 4.0), rho_r=rho_r,
                            rho_d=rho_d, rho_s=rho_s)
             k = np.float64(10.0 ** rng.uniform(0, 4))
-            e = np.exp2(theta.R / k) - 1.0
+            e = np.expm1((theta.R * math.log(2.0)) / k)
             h = 2.0 * np.sqrt(theta.alpha * theta.rho_r * k * e)
             zf = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
             mrc = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
                    + theta.rho_r * ((k - 1.0) * e))
             assert reduced_power(float(k), theta, ZF) == zf
             assert reduced_power(float(k), theta, MRC) == mrc
+
+    @staticmethod
+    def _decimal_objective(k, theta, det):
+        # the same formula at 50 digits, from the exact doubles
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            R, alpha, rho_r, rho_d, rho_s, k = map(decimal.Decimal, (
+                theta.R, theta.alpha, theta.rho_r, theta.rho_d, theta.rho_s,
+                k))
+            e = (R / k * decimal.Decimal(2).ln()).exp() - 1
+            h = 2 * (alpha * rho_r * k * e).sqrt()
+            if det is ZF:
+                return float(h + k * (rho_r + rho_d) + rho_s)
+            return float(h + rho_r + rho_s + k * rho_d + rho_r * (k - 1) * e)
+
+    @pytest.mark.parametrize("per_user", [1e-12, 3.6e-8, 0.5, 1.0, 2.5, 4.0])
+    def test_within_a_few_ulps_of_fifty_digits(self, per_user):
+        # 2^(R/k) - 1 by subtraction was off by up to 1.2e-9 relative at
+        # R/k = 3.6e-8; expm1 is not. The bound is 8 ulps because exp
+        # scales the rounding of R ln2 / k by R ln2 / k, ~3 ulps at 4 bits
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            # R >= 2 R/k keeps k >= 2, clear of MRC's k - 1 cancellation
+            R = float(10.0 ** rng.uniform(math.log10(max(1.0, 2.0 * per_user)),
+                                          3.0))
+            theta = _theta(R=R, alpha=rng.uniform(1.01, 4.0),
+                           rho_r=10.0 ** rng.uniform(-2, 2),
+                           rho_d=10.0 ** rng.uniform(-10, -6),
+                           rho_s=10.0 ** rng.uniform(-10, -6))
+            ks = R / per_user * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+            for det in (MRC, ZF):
+                got = _objective_grid(ks, theta, det)
+                for k, value in zip(ks, got):
+                    exact = self._decimal_objective(float(k), theta, det)
+                    assert abs(value - exact) <= 8 * math.ulp(exact), \
+                        (per_user, theta, det, float(k))
 
     def test_overflow_maps_to_infinity(self):
         assert reduced_power(1.0, _theta(R=2000.0), MRC) == math.inf
@@ -289,6 +328,15 @@ class TestMinimizeRelaxed:
         out = minimize_relaxed(theta, det, k_max=1e6)
         assert 1.0 <= out.k_star <= 1e6 and 0.0 < out.zeta < math.inf
 
+    def test_huge_k_max_is_no_false_optimum(self):
+        # 2^(R/k) - 1 by subtraction rounded to 0 past k ~ 1e16, where the
+        # PA and interference terms vanished: zeta 5.0 at k ~ 7.25e16
+        theta = _theta(R=10.0, rho_d=5e-324)
+        huge = minimize_relaxed(theta, MRC, k_max=1.7e308)
+        assert huge.zeta == pytest.approx(
+            minimize_relaxed(theta, MRC, k_max=1e12).zeta, rel=0, abs=1e-6)
+        assert huge.zeta >= minimize_relaxed(theta, MRC, k_max=1e6).zeta
+
     @pytest.mark.parametrize("k_max", [True, False])
     def test_bool_k_max_is_not_a_count(self, k_max):
         with pytest.raises(ValueError, match="k_max must be finite and >= 1"):
@@ -352,3 +400,44 @@ class TestGlobalMinimum:
                             assert out.objective <= \
                                 reduced_power(k, theta, det), \
                                 (theta, det, k_max, k)
+
+
+class TestGrids:
+    """The coarse grid is exp(unit ln k_cap) and each zoom grid
+    unit (hi - lo) + lo, with both ends set exactly."""
+
+    def test_ends_brackets_and_rounds(self, monkeypatch):
+        grids = []
+        objective = relaxation._objective_grid
+
+        def recording(k, theta, det):
+            if k.size > 1:   # not reduced_power's incumbent
+                grids.append(k.copy())
+            return objective(k, theta, det)
+
+        monkeypatch.setattr(relaxation, "_objective_grid", recording)
+        rng = np.random.default_rng(18)
+        inexact = 0
+        for _ in range(60):
+            theta = SystemParams(
+                R=float(10.0 ** rng.uniform(0.0, 3.0)),   # k_max = 1 reaches it
+                alpha=float(rng.uniform(1.01, 8.0)),
+                rho_r=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                rho_d=float(10.0 ** rng.uniform(-3.0, 1.0)),
+                rho_s=float(10.0 ** rng.uniform(-1.0, 1.0)))
+            for det in (MRC, ZF):
+                for k_max in (None, 1.0, 1.0 + 2.0 ** -50,
+                              float(rng.uniform(1.0, 1e4)),
+                              float(10.0 ** rng.uniform(4.0, 308.0))):
+                    grids.clear()
+                    out = minimize_relaxed(theta, det, k_max=k_max)
+                    k_cap = TestGlobalMinimum._k_cap(theta, det, k_max)
+                    inexact += math.exp(math.log(k_cap)) != k_cap
+                    assert grids[0][0] == 1.0 and grids[0][-1] == k_cap
+                    assert 1.0 <= out.k_star <= k_cap
+                    assert out.solver_diag.refine_iters == len(grids) - 1 <= 4
+                    for prev, cur in zip(grids, grids[1:]):
+                        assert cur[0] in prev and cur[-1] in prev
+                        assert np.all(np.diff(cur) >= 0.0)
+                    assert out.k_star in np.concatenate(grids)
+        assert inexact > 100
