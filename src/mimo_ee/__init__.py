@@ -24,7 +24,7 @@ from .efficiency import (EfficiencyRangeError, EfficiencyReport,
 from .integer_opt import Optimum, optimize_exact
 from .link import (AntennaConfig, Detector, InfeasibleError, gamma_required,
                    is_feasible, rate_achieved)
-from .montecarlo import McConfig, McResult, bound_gap_sweep, simulate
+from .montecarlo import McConfig, McResult, bound_gap_sweep
 from .relaxation import (RelaxedOptimum, SolverDiag, minimize_relaxed,
                          optimal_m, reduced_power)
 from .report import (SweepSpec, sweep_records, trajectory_records,
@@ -41,7 +41,7 @@ __all__ = [
     "bound_gap_sweep", "evaluate_efficiency", "gamma_required", "is_feasible",
     "minimize_relaxed", "mrc_upper_bound_check",
     "normalize", "optimal_m", "optimize_exact",
-    "rate_achieved", "reduced_power", "simulate", "sweep_records",
+    "rate_achieved", "reduced_power", "sweep_records",
     "thresholds", "trajectory_limit", "trajectory_point",
     "trajectory_records", "trajectory_zeta", "validation_records",
 ]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 from .efficiency import evaluate_efficiency
 from .link import AntennaConfig, Detector, exp2_sat
@@ -95,14 +97,29 @@ def trajectory_limit(spec: TrajectorySpec) -> float:
     return c / den
 
 
+def _log2(ratio: Callable[..., float], theta: SystemParams) -> float:
+    """log2 of ratio(alpha, rho_r, rho_d) > 0: of its double where that is
+    within 2^-50 of its exact rational value (each step stayed in the normal
+    range), else of the exact value, finite however far out of range."""
+    powers = (theta.alpha, theta.rho_r, theta.rho_d)
+    exact = ratio(*map(Fraction, powers))
+    try:
+        value = ratio(*powers)
+    except OverflowError:   # float ** raises where * and / give inf
+        value = math.inf
+    if 0 < value < math.inf and abs(exact - Fraction(value)) <= exact / 2 ** 50:
+        return math.log2(value)
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    return e + math.log2(exact / Fraction(2) ** e)   # a ratio in (1/2, 2)
+
+
 def thresholds(theta: SystemParams) -> Thresholds:
     """Rate floors for the relaxed-MRC efficiency cap at theta's power profile."""
     if theta.rho_r <= 0:
         raise ValueError(f"rho_r must be > 0, got {theta.rho_r!r}")
-    r1 = max(4.0, 4.0 * math.log2(1.0 + theta.alpha / theta.rho_r))
-    r2 = max(
-        math.log2(1.0 + 9.0 * theta.rho_d ** 2 / (theta.alpha * theta.rho_r)),
-        2.0 * math.log2(49.0 * theta.rho_r / theta.alpha))
+    r1 = max(4.0, 4.0 * _log2(lambda a, r, d: 1 + a / r, theta))
+    r2 = max(_log2(lambda a, r, d: 1 + 9 * d ** 2 / (a * r), theta),
+             2.0 * _log2(lambda a, r, d: 49 * r / a, theta))
     return Thresholds(r1=r1, r2=r2)
 
 

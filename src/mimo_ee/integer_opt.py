@@ -171,6 +171,9 @@ def _require_k_max(k_max: int | None) -> None:
     if k_max is not None and (isinstance(k_max, bool)
                               or not isinstance(k_max, int) or k_max < 1):
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+    if k_max is not None and k_max > sys.float_info.max:  # relaxed as a double
+        raise ValueError("k_max must be an integer >= 1 within double range, "
+                         "got one past it")
 
 
 def optimize_exact(theta: SystemParams, det: Detector, *,

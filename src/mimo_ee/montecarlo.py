@@ -25,21 +25,21 @@ index sit in the counter's high words. One stream read a chunk of
 Gamma draws, then a chunk of normals, at a time would give a trial
 other draws at another chunk size; two streams keep it out. Each
 stream is read in trial order, so results are bit-identical across
-runs, across thread counts, and between a standalone run and a member
-of a grouped sweep. A trial is addressed only through its slab: trial t
+runs, across thread counts, and between a config swept alone and one
+swept with others. A trial is addressed only through its slab: trial t
 of a slab depends on the draws of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
 complex matrices, which reuse the same buffers: the Gamma draws, L's
 off-diagonal entries, L, its conjugate, the Gram matrices
 and, for ZF, L's inverse, built by forward substitution. Every stage,
-from the draw to each member's per-trial rates, runs on one chunk at a
-time. A chunk only bounds how many trials are handled at once; it
-never moves a slab boundary, both streams are read element by element,
-and every other operation acts per trial or along a trial's own axes,
-so every result is the same for any chunk size.
-Memory per worker thread is the chunk buffers plus what one chunk's
-rates derive from L, plus each member's per-trial rates.
+from the draw to the rates, one broadcast per detector over its configs'
+SNRs into a (configs, trials) array, runs on one chunk at a time. A
+chunk only bounds how many trials are handled at once; it never moves a
+slab boundary, both streams are read element by element, and every
+other operation acts per trial or along a trial's own axes, so every
+result is the same for any chunk size. Memory is the rate arrays plus,
+per worker, the chunk buffers and a (configs, chunk, k) array per detector.
 
 A point whose simulated or closed-form rate leaves double range, such
 as gamma near 1.7e308, is refused with OverflowError.
@@ -112,19 +112,13 @@ def _slab_stream(seed: int, kind: int, slab: int) -> np.random.Generator:
         np.random.Philox(key=seed, counter=(0, 0, kind, slab)))
 
 
-class _Member:
-    """A config sharing the group's channel draws, plus its per-trial rates."""
-
-    def __init__(self, cfg: McConfig) -> None:
-        self.cfg = cfg
-        self.rates = np.empty(cfg.trials)
-
-
 def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
-                  mrc_members: list[_Member], zf_members: list[_Member]) -> None:
-    """Fill every member's rates for trials lo..hi-1."""
+                  gammas: dict[Detector, np.ndarray],
+                  rates: dict[Detector, np.ndarray]) -> None:
+    """Fill columns lo..hi-1 of each detector's (configs, trials) rates,
+    one row per transmit SNR in gammas[det]."""
     n = hi - lo
-    gammas = _slab_stream(seed, _GAMMA, lo // _SLAB)
+    gamma_draws = _slab_stream(seed, _GAMMA, lo // _SLAB)
     normals = _slab_stream(seed, _NORMAL, lo // _SLAB)
     r = min(m, k)
     shape = m - np.arange(r)                   # L_ii^2 ~ Gamma(m - i), i from 0
@@ -137,7 +131,8 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     factor = np.zeros((chunk, k, r), dtype=np.complex128)
     factor_conj = np.empty_like(factor)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
-    if zf_members:     # only the lower triangle is ever written
+    mrc, zf = gammas.get(Detector.MRC), gammas.get(Detector.ZF)
+    if zf is not None:     # only the lower triangle is ever written
         inv_buf = np.zeros((chunk, k, k), dtype=np.complex128)
 
     # a rate past double range is refused by _run_group, not warned of
@@ -147,25 +142,24 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
             start, stop = lo + a, lo + a + c
             lower = factor[:c]
             lower[:, diag, diag] = np.sqrt(
-                gammas.standard_gamma(shape, out=draws[:c]))
+                gamma_draws.standard_gamma(shape, out=draws[:c]))
             parts = z[:c].view(np.float64)      # (re, im) of each entry in turn
             normals.standard_normal(out=parts)
             parts *= _SQRT_HALF
             lower[:, rows, cols] = z[:c]
 
-            if mrc_members:
+            if mrc is not None:
                 np.conjugate(lower, out=factor_conj[:c])
                 gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
                                  out=gram_buf[:c])
                 d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
                 row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
                 cross = row_power - d * d                         # interference power
-                for mem in mrc_members:
-                    g = mem.cfg.gamma
-                    sinr = (g * d * d) / (g * cross + d)
-                    mem.rates[start:stop] = np.log2(1.0 + sinr).sum(axis=1)
+                g = mrc[:, None, None]                            # one SNR per row
+                rates[Detector.MRC][:, start:stop] = np.log2(
+                    1.0 + (g * d * d) / (g * cross + d)).sum(axis=-1)
 
-            if zf_members:
+            if zf is not None:
                 # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;
                 # row i of L^{-1} by forward substitution on rows 0..i-1
                 inv = inv_buf[:c]
@@ -176,31 +170,30 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                               out=inv[:, i, None, :i])
                     inv[:, i, :i] *= -inv_diag[:, i, None]
                 diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
-                for mem in zf_members:
-                    mem.rates[start:stop] = np.log2(
-                        1.0 + mem.cfg.gamma / diag_inv).sum(axis=1)
+                rates[Detector.ZF][:, start:stop] = np.log2(
+                    1.0 + zf[:, None, None] / diag_inv).sum(axis=-1)
 
 
 def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
     """Simulate configs sharing (m, k, trials, seed) on common channel draws."""
     first = configs[0]
     m, k, trials, seed = first.m, first.k, first.trials, first.seed
-    members = [_Member(cfg) for cfg in configs]
-    mrc_members = [x for x in members if x.cfg.detector is Detector.MRC]
-    zf_members = [x for x in members if x.cfg.detector is Detector.ZF]
+    gammas = {det: np.array([c.gamma for c in configs if c.detector is det])
+              for det in dict.fromkeys(cfg.detector for cfg in configs)}
+    rates = {det: np.empty((g.size, trials)) for det, g in gammas.items()}
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_process_slab, seed, m, k, lo, min(lo + _SLAB, trials),
-                        mrc_members, zf_members)
-            for lo in range(0, trials, _SLAB)]
-        for fut in futures:
+        for fut in [pool.submit(_process_slab, seed, m, k, lo,
+                                min(lo + _SLAB, trials), gammas, rates)
+                    for lo in range(0, trials, _SLAB)]:
             fut.result()
 
+    # a detector's rows follow its configs' input order
+    rows = {det: iter(r) for det, r in rates.items()}
     results = []
-    for mem in members:
-        cfg = mem.cfg
-        empirical = float(mem.rates.mean())
+    for cfg in configs:
+        row = next(rows[cfg.detector])
+        empirical = float(row.mean())
         bound = rate_achieved(
             AntennaConfig(M=cfg.m, K=cfg.k), cfg.gamma, cfg.detector)
         if not (math.isfinite(empirical) and math.isfinite(bound)):
@@ -208,24 +201,11 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
                 f"rate out of double range at m={cfg.m}, k={cfg.k}, "
                 f"gamma={cfg.gamma!r}, {cfg.detector.value}: simulated "
                 f"{empirical!r}, closed form {bound!r}")
-        spread = float(mem.rates.std(ddof=1)) if trials > 1 else 0.0
+        spread = float(row.std(ddof=1)) if trials > 1 else 0.0
         results.append(McResult(
-            empirical_rate=empirical,
-            ci_halfwidth=_Z95 * spread / math.sqrt(trials),
-            bound_rate=bound,
-            margin=empirical - bound))
+            empirical_rate=empirical, bound_rate=bound, margin=empirical - bound,
+            ci_halfwidth=_Z95 * spread / math.sqrt(trials)))
     return results
-
-
-def _require_threads(threads: int) -> None:
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-
-
-def simulate(cfg: McConfig, *, threads: int = 1) -> McResult:
-    """Measure the ergodic sum rate of one config against its closed form."""
-    _require_threads(threads)
-    return _run_group([cfg], threads)[0]
 
 
 def bound_gap_sweep(configs: Iterable[McConfig], *,
@@ -234,19 +214,17 @@ def bound_gap_sweep(configs: Iterable[McConfig], *,
 
     Configs agreeing on (m, k, trials, seed) share channel draws, so the
     family costs one channel sweep per distinct design rather than one per
-    (gamma, detector) combination. Results are bit-identical to running
-    simulate on each config alone, and come back in input order.
+    (gamma, detector) combination. Results are bit-identical to sweeping
+    each config alone, and come back in input order.
     """
-    _require_threads(threads)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     config_list = list(configs)
     if not config_list:
         raise ValueError("config family must be nonempty")
-    grouped: dict[tuple[int, int, int, int], list[int]] = {}
-    for idx, cfg in enumerate(config_list):
-        grouped.setdefault((cfg.m, cfg.k, cfg.trials, cfg.seed), []).append(idx)
-    results: list[McResult | None] = [None] * len(config_list)
-    for indices in grouped.values():
-        for idx, res in zip(
-                indices, _run_group([config_list[i] for i in indices], threads)):
-            results[idx] = res
-    return list(zip(config_list, results))
+    grouped: dict[tuple[int, int, int, int], list[McConfig]] = {}
+    for cfg in dict.fromkeys(config_list):    # a repeated config runs once
+        grouped.setdefault((cfg.m, cfg.k, cfg.trials, cfg.seed), []).append(cfg)
+    results = {cfg: res for group in grouped.values()
+               for cfg, res in zip(group, _run_group(group, threads))}
+    return [(cfg, results[cfg]) for cfg in config_list]

@@ -19,6 +19,7 @@ over [1, k_cap] returns instead. The grid finds k = 1 because it starts there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             raise ValueError("k cap incumbent/rho_d overflows: supply k_max")
         k_cap = max(k_seed, float(math.ceil(k_cap)))
     else:
-        if isinstance(k_max, bool) or not (math.isfinite(k_max) and k_max >= 1):
+        if isinstance(k_max, bool) or not 1 <= k_max <= sys.float_info.max:
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
         k_cap = float(k_max)
 

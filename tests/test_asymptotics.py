@@ -134,6 +134,46 @@ class TestThresholds:
         assert t.r1 >= 4.0
         assert math.isfinite(t.r2)
 
+    def test_past_double_range_against_fifty_digits(self):
+        # rho_d ** 2, 9 rho_d^2, alpha / rho_r and 49 rho_r leave double
+        # range on this grid, and rho_d ** 2 of a tiny rho_d loses bits to
+        # underflow; every threshold is still within a few ulps, or within
+        # 2e-15 bits where log2(1 + x) of a double sits near 0
+        import mpmath
+
+        rhos = [10.0 ** e for e in range(-320, 309, 8)] + [1e308, 3e-162]
+        with mpmath.workdps(50):
+            for rho_r in rhos:
+                for rho_d in [0.0] + rhos:
+                    t = thresholds(SystemParams(R=1.0, alpha=2.0, rho_r=rho_r,
+                                                rho_d=rho_d, rho_s=0.0))
+                    a, r, d = (mpmath.mpf(x) for x in (2.0, rho_r, rho_d))
+                    r1 = max(4, 4 * mpmath.log(1 + a / r, 2))
+                    r2 = max(mpmath.log(1 + 9 * d ** 2 / (a * r), 2),
+                             2 * mpmath.log(49 * r / a, 2))
+                    case = (rho_r, rho_d)
+                    assert t.r1 == pytest.approx(float(r1), rel=4e-16), case
+                    assert t.r2 == pytest.approx(float(r2), rel=4e-16,
+                                                 abs=2e-15), case
+
+    def test_examples_past_double_range(self):
+        def both(rho_r, rho_d):
+            t = thresholds(SystemParams(R=1.0, alpha=2.0, rho_r=rho_r,
+                                        rho_d=rho_d, rho_s=0.0))
+            return t.r1, t.r2
+
+        # rho_d ** 2 raised; 49 rho_r and alpha / rho_r were inf
+        assert both(1.0, 1e200)[1] == pytest.approx(1330.941162956387,
+                                                    rel=1e-15)
+        assert both(1e308, 1.0)[1] == pytest.approx(2055.537126138845,
+                                                    rel=1e-15)
+        assert both(1e-320, 1.0)[0] == pytest.approx(4256.068025701223,
+                                                     rel=1e-15)
+        # the plain formula's bytes stay where its steps stay in range
+        assert both(1.0, 1.0) == (max(4.0, 4.0 * math.log2(3.0)),
+                                  max(math.log2(1.0 + 9.0 / 2.0),
+                                      2.0 * math.log2(49.0 / 2.0)))
+
     def test_rejects_free_antennas(self):
         with pytest.raises(ValueError, match="rho_r"):
             thresholds(SystemParams(R=1.0, alpha=2.0, rho_r=0.0,

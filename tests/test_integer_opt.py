@@ -1,6 +1,7 @@
 """Integer (M, K) optimizer: brute-force agreement, frozen cases, pruning."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -254,6 +255,21 @@ class TestErrors:
             with pytest.raises(ValueError, match="k_max must be an integer"):
                 SweepSpec(r_values=(4.0,), theta_base=PowerProfile(
                     alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0), k_max=k_max)
+
+    def test_k_max_without_a_double_is_refused(self):
+        # the relaxation takes the same cap as a double
+        largest = int(sys.float_info.max)
+        for k_max in (10 ** 400, largest + 1):
+            with pytest.raises(ValueError, match="within double range"):
+                optimize_exact(_theta(), MRC, k_max=k_max)
+            with pytest.raises(ValueError, match="within double range"):
+                SweepSpec(r_values=(4.0,), theta_base=PowerProfile(
+                    alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0), k_max=k_max)
+        # the largest double, as an integer, still runs
+        got = optimize_exact(_theta(R=8.0), MRC, k_max=largest)
+        want = optimize_exact(_theta(R=8.0), MRC)
+        assert (got.m_star, got.k_star, got.zeta_star) == (
+            want.m_star, want.k_star, want.zeta_star)
 
     def test_min_feasible_m_exact_integer_boundary(self):
         # R = 12, K = 3: four bits per user, boundary 2*(2^4-1) = 30, so

@@ -10,9 +10,26 @@ import pytest
 
 import mimo_ee.montecarlo as mc
 from mimo_ee.link import Detector
-from mimo_ee.montecarlo import _SLAB, McConfig, bound_gap_sweep, simulate
+from mimo_ee.montecarlo import _SLAB, McConfig, bound_gap_sweep
 
 MRC, ZF = Detector.MRC, Detector.ZF
+
+
+def _simulate(cfg, threads=1):
+    """One config swept alone."""
+    [(_, res)] = bound_gap_sweep([cfg], threads=threads)
+    return res
+
+
+def _slab_arrays(family):
+    """Each detector's transmit SNRs in input order, and an empty
+    (configs, trials) rate array for the slab to fill."""
+    gammas = {det: np.array([cfg.gamma for cfg in family
+                             if cfg.detector is det]) for det in (MRC, ZF)}
+    gammas = {det: g for det, g in gammas.items() if g.size}
+    trials = family[0].trials
+    return gammas, {det: np.empty((g.size, trials))
+                    for det, g in gammas.items()}
 
 
 def _slab_streams(seed, slab):
@@ -44,25 +61,54 @@ def _reference_factor(gammas, normals, m, k):
 class TestDeterminism:
     def test_repeat_runs_are_bit_identical(self):
         cfg = McConfig(m=16, k=4, gamma=0.3, detector=MRC, trials=5000, seed=42)
-        assert simulate(cfg) == simulate(cfg)
+        assert _simulate(cfg) == _simulate(cfg)
 
     def test_thread_count_does_not_change_results(self):
         cfg = McConfig(m=16, k=4, gamma=0.3, detector=ZF, trials=9000, seed=7)
-        assert simulate(cfg, threads=1) == simulate(cfg, threads=3)
+        assert _simulate(cfg, threads=1) == _simulate(cfg, threads=3)
 
     def test_grouped_equals_individual(self):
         family = [
             McConfig(m=12, k=3, gamma=g, detector=det, trials=4000, seed=9)
             for det in (MRC, ZF) for g in (0.05, 0.4)]
+        # then two designs interleaved, detectors alternating, gamma 0.4
+        # repeated, and trials and seed set per point: each detector's rows
+        # of a design must follow its configs' input order
+        family += [
+            McConfig(m=8, k=2, gamma=0.4, detector=ZF, trials=300, seed=4),
+            McConfig(m=12, k=3, gamma=0.4, detector=MRC, trials=4000, seed=9),
+            McConfig(m=8, k=2, gamma=0.4, detector=MRC, trials=300, seed=4),
+            McConfig(m=12, k=3, gamma=2.5, detector=ZF, trials=4000, seed=9),
+            McConfig(m=8, k=2, gamma=1.5, detector=ZF, trials=_SLAB + 5,
+                     seed=4),
+            McConfig(m=12, k=3, gamma=0.4, detector=MRC, trials=4000, seed=3),
+            McConfig(m=8, k=2, gamma=0.4, detector=ZF, trials=300, seed=4),
+            McConfig(m=12, k=3, gamma=0.05, detector=MRC, trials=4000, seed=9),
+        ]
         swept = bound_gap_sweep(family, threads=2)
+        assert [cfg for cfg, _ in swept] == family
         for cfg, res in swept:
-            assert res == simulate(cfg)
+            assert res == _simulate(cfg), cfg
+        assert len({res.empirical_rate for _, res in swept}) == len(family) - 3
+
+    @pytest.mark.parametrize("order", [(MRC, ZF), (ZF, MRC)])
+    def test_overflow_names_the_first_config_in_input_order(self, order):
+        # both detectors' rates leave double range at gamma = 1.7e308; the
+        # refusal names whichever comes first in the input, not the first
+        # detector's rows
+        family = [McConfig(m=8, k=2, gamma=0.2, detector=MRC, trials=50)]
+        family += [McConfig(m=8, k=2, gamma=g, detector=det, trials=50)
+                   for det in order for g in (1.7e308, 1.6e308)]
+        with np.errstate(all="raise"):   # and no numpy warning escapes
+            with pytest.raises(OverflowError, match=(
+                    f"gamma=1.7e\\+308, {order[0].value}: simulated")):
+                bound_gap_sweep(family)
 
     def test_seed_changes_the_draws(self):
-        a = simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
-                              trials=2000, seed=0))
-        b = simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
-                              trials=2000, seed=1))
+        a = _simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
+                               trials=2000, seed=0))
+        b = _simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
+                               trials=2000, seed=1))
         assert a.empirical_rate != b.empirical_rate
 
 
@@ -83,12 +129,14 @@ class TestChannelDraws:
         trials = 2 * _SLAB + 5
         family = _family(6, 3, trials, seed=13)
         want = bound_gap_sweep(family)
-        members = [mc._Member(cfg) for cfg in family]
+        gammas, rates = _slab_arrays(family)
         for lo in reversed(range(0, trials, _SLAB)):
             mc._process_slab(13, 6, 3, lo, min(lo + _SLAB, trials),
-                             members[:2], members[2:])   # MRC, then ZF
-        for mem, (_, res) in zip(members, want):
-            assert float(mem.rates.mean()) == res.empirical_rate
+                             gammas, rates)
+        rows = [*rates[MRC], *rates[ZF]]     # the family lists MRC first
+        assert len(rows) == len(want)
+        for row, (_, res) in zip(rows, want):
+            assert float(row.mean()) == res.empirical_rate
 
     def test_entries_are_standard_complex_gaussian(self, monkeypatch):
         # the slab's own L, caught where MRC forms its Gram: 2000 trials
@@ -102,11 +150,11 @@ class TestChannelDraws:
             seen.append(lower[:, rows, cols])   # fancy indexing copies
             return matmul(lower, conj, **kwargs)
 
-        member = mc._Member(McConfig(m=m, k=k, gamma=0.1, detector=MRC,
-                                     trials=trials, seed=11))
+        gammas, rates = _slab_arrays([McConfig(
+            m=m, k=k, gamma=0.1, detector=MRC, trials=trials, seed=11)])
         with monkeypatch.context() as patch:
             patch.setattr(mc.np, "matmul", catch)
-            mc._process_slab(11, m, k, 0, trials, [member], [])
+            mc._process_slab(11, m, k, 0, trials, gammas, rates)
         assert len(seen) == 2
         h = np.concatenate(seen).ravel()
         assert h.size == 20_000
@@ -144,28 +192,28 @@ class TestChannelDraws:
 class TestBoundMargins:
     @pytest.mark.parametrize("det", [MRC, ZF])
     def test_closed_form_sits_below_empirical_mean(self, det):
-        res = simulate(McConfig(m=32, k=4, gamma=0.2, detector=det,
-                                trials=20_000, seed=1))
+        res = _simulate(McConfig(m=32, k=4, gamma=0.2, detector=det,
+                                 trials=20_000, seed=1))
         assert res.margin > 0
         assert res.margin > res.ci_halfwidth
         assert res.resampled == 0
 
     def test_single_antenna_bound_degenerates_to_zero(self):
-        res = simulate(McConfig(m=1, k=1, gamma=1.0, detector=MRC,
-                                trials=2000, seed=3))
+        res = _simulate(McConfig(m=1, k=1, gamma=1.0, detector=MRC,
+                                 trials=2000, seed=3))
         assert res.bound_rate == 0.0
         assert res.empirical_rate > 0.0
 
     def test_detectors_coincide_for_one_user(self):
         kwargs = dict(m=4, k=1, gamma=0.5, trials=2000, seed=3)
-        a = simulate(McConfig(detector=MRC, **kwargs))
-        b = simulate(McConfig(detector=ZF, **kwargs))
+        a = _simulate(McConfig(detector=MRC, **kwargs))
+        b = _simulate(McConfig(detector=ZF, **kwargs))
         assert a.empirical_rate == pytest.approx(b.empirical_rate, rel=1e-12)
         assert a.bound_rate == pytest.approx(b.bound_rate, rel=1e-12)
 
     def test_single_trial_has_no_spread_estimate(self):
-        res = simulate(McConfig(m=8, k=2, gamma=0.1, detector=MRC,
-                                trials=1, seed=0))
+        res = _simulate(McConfig(m=8, k=2, gamma=0.1, detector=MRC,
+                                 trials=1, seed=0))
         assert res.ci_halfwidth == 0.0
         assert math.isfinite(res.empirical_rate)
 
@@ -233,8 +281,8 @@ class TestExactOracle:
     @pytest.mark.parametrize("m,k", [(2, 5), (1, 3)])
     def test_mrc_with_fewer_antennas_than_users(self, m, k):
         for g in (0.1, 2.0):
-            res = simulate(McConfig(m=m, k=k, gamma=g, detector=MRC,
-                                    trials=50_000, seed=31))
+            res = _simulate(McConfig(m=m, k=k, gamma=g, detector=MRC,
+                                     trials=50_000, seed=31))
             exact = _exact_sum_rate(m, k, g, MRC)
             assert abs(res.empirical_rate - exact) <= 4.0 * res.ci_halfwidth
 
@@ -243,8 +291,8 @@ class TestNoRedraw:
     def test_square_factor_needs_no_redraw(self):
         # at m = k + 1 the last user's L_kk^2 is Gamma(1), the ZF Gram's
         # worst conditioning; it is still never singular
-        res = simulate(McConfig(m=4, k=3, gamma=0.5, detector=ZF,
-                                trials=_SLAB + 37, seed=9))
+        res = _simulate(McConfig(m=4, k=3, gamma=0.5, detector=ZF,
+                                 trials=_SLAB + 37, seed=9))
         assert res.resampled == 0
         assert math.isfinite(res.empirical_rate)
         exact = _exact_sum_rate(4, 3, 0.5, ZF)
@@ -257,17 +305,17 @@ class TestForwardSubstitution:
         # m = k + 1 gives the last user's L_kk^2 ~ Gamma(1), the worst
         # conditioned square factor; at k = 16 the trials span three chunks
         m, trials, seed = k + 1, 300, 21
-        members = [mc._Member(McConfig(m=m, k=k, gamma=g, detector=ZF,
-                                       trials=trials, seed=seed))
-                   for g in (0.02, 3.0)]
-        mc._process_slab(seed, m, k, 0, trials, [], members)
+        snrs, rates = _slab_arrays([
+            McConfig(m=m, k=k, gamma=g, detector=ZF, trials=trials, seed=seed)
+            for g in (0.02, 3.0)])
+        mc._process_slab(seed, m, k, 0, trials, snrs, rates)
         gammas, normals = _slab_streams(seed, 0)
         for t in range(trials):
             lower = _reference_factor(gammas, normals, m, k)
             diag_inv = np.diagonal(np.linalg.inv(lower @ lower.conj().T)).real
-            for mem in members:
-                want = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum()
-                assert mem.rates[t] == pytest.approx(want, rel=1e-12, abs=0)
+            for g, row in zip(snrs[ZF], rates[ZF]):
+                want = np.log2(1.0 + g / diag_inv).sum()
+                assert row[t] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestValidation:
@@ -300,11 +348,11 @@ class TestValidation:
     def test_thread_count_rejections(self):
         cfg = McConfig(m=4, k=2, gamma=0.5, detector=MRC, trials=10)
         with pytest.raises(ValueError, match="threads"):
-            simulate(cfg, threads=0)
+            _simulate(cfg, threads=0)
         with pytest.raises(ValueError, match="threads"):
             bound_gap_sweep([cfg], threads=-1)
         with pytest.raises(ValueError, match="threads"):
-            simulate(cfg, threads=True)
+            _simulate(cfg, threads=True)
         with pytest.raises(ValueError, match="threads"):
             bound_gap_sweep([cfg], threads=True)
 
@@ -325,7 +373,7 @@ class TestValidation:
         assert swept[0][1] == swept[3][1]
 
 
-def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
+def _bartlett_reference(seed, m, k, lo, hi, snrs, rates):
     """The slab one trial at a time, straight from the Bartlett factor.
 
     The reference for the chunked slab: it shares no chunk, buffer or
@@ -338,10 +386,9 @@ def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
         gram = np.matmul(lower, lower.conj().T)
         d = np.diagonal(gram).real
         cross = (gram.real ** 2 + gram.imag ** 2).sum(axis=1) - d * d
-        for mem in mrc_members:
-            g = mem.cfg.gamma
-            mem.rates[t] = np.log2(1.0 + (g * d * d) / (g * cross + d)).sum()
-        if zf_members:
+        for g, row in zip(snrs.get(MRC, ()), rates.get(MRC, ())):
+            row[t] = np.log2(1.0 + (g * d * d) / (g * cross + d)).sum()
+        if ZF in snrs:
             # L^{-1} by forward substitution, one row at a time
             inv = np.zeros((k, k), dtype=np.complex128)
             for i in range(k):
@@ -352,8 +399,8 @@ def _bartlett_reference(seed, m, k, lo, hi, mrc_members, zf_members):
             # the column norms of L^{-1} are the diagonal of W^{-1}
             assert np.allclose(diag_inv, np.diagonal(np.linalg.inv(gram)).real,
                                rtol=1e-6)
-        for mem in zf_members:
-            mem.rates[t] = np.log2(1.0 + mem.cfg.gamma / diag_inv).sum()
+        for g, row in zip(snrs.get(ZF, ()), rates.get(ZF, ())):
+            row[t] = np.log2(1.0 + g / diag_inv).sum()
 
 
 def _family(m, k, trials, seed=13):

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -308,6 +309,10 @@ class TestMinimizeRelaxed:
         assert out.k_star <= 50.0
         with pytest.raises(InfeasibleError):
             minimize_relaxed(_theta(R=2000.0), MRC, k_max=1.0)
+        # an integer cap with no double is refused, not an OverflowError
+        for k_max in (10 ** 400, int(sys.float_info.max) + 1):
+            with pytest.raises(ValueError, match="k_max must be finite"):
+                minimize_relaxed(_theta(), MRC, k_max=k_max)
 
     def test_huge_rate_reaches_the_large_rate_limit(self):
         # the incumbent's cap 1e300 / rho_d is past int64; MRC's relaxed

@@ -17,7 +17,7 @@ from mimo_ee.asymptotics import TrajectorySpec, trajectory_zeta
 from mimo_ee.cli import main
 from mimo_ee.integer_opt import optimize_exact
 from mimo_ee.link import Detector
-from mimo_ee.montecarlo import McConfig, simulate
+from mimo_ee.montecarlo import McConfig, bound_gap_sweep
 from mimo_ee.relaxation import minimize_relaxed
 from mimo_ee.report import (BASE_COLUMNS, SweepSpec, THRESHOLD_COLUMNS,
                             TRAJECTORY_COLUMNS, VALIDATION_COLUMNS,
@@ -223,7 +223,7 @@ class TestOtherTables:
             McConfig(m=8, k=2, gamma=0.3, detector=ZF, trials=400, seed=3)]
         records = validation_records(configs, threads=2)
         for cfg, row in zip(configs, records):
-            res = simulate(cfg)
+            [(_, res)] = bound_gap_sweep([cfg])
             assert row["m"] == cfg.m and row["k"] == cfg.k
             assert row["detector"] is cfg.detector
             assert row["empirical_rate"] == res.empirical_rate
@@ -473,6 +473,44 @@ class TestCli:
         rc, out, err = _run(capsys, "optimize", "--config", str(path),
                             "--k-max", "100")
         assert rc == 0 and err == ""
+
+    @pytest.mark.parametrize("cmd,section", [
+        ("optimize", {"optimize": {"R": 8.0}}),
+        ("sweep", {"sweep": {"r_values": [4.0, 8.0]}}),
+        ("breakdown", {"sweep": {"r_values": [8.0]}})])
+    def test_k_max_without_a_double_exits_2(self, capsys, tmp_path, cmd,
+                                            section):
+        # a 401-digit cap was an OverflowError in every relaxed cell
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                           "rho_s": 1.0}, **section}))
+        rc, out, err = _run(capsys, cmd, "--config", str(path),
+                            "--k-max", "1" + "0" * 400)
+        assert rc == 2
+        assert out == ""
+        assert err == ("error: config: k_max must be an integer >= 1 within "
+                       "double range, got one past it\n")
+
+    def test_thresholds_past_double_range_are_strict_json(self, capsys,
+                                                          tmp_path):
+        # 49 rho_r / alpha overflows at rho_r = 1e308, where r2 printed inf
+        # and json wrote Infinity; R = 10 is below r2, so the run exits 3
+        path = tmp_path / "huge_rho_r.json"
+        path.write_text(json.dumps({
+            "normalized": {"alpha": 2.0, "rho_r": 1e308, "rho_d": 1.0,
+                           "rho_s": 1.0}, "thresholds": {"R": 10.0}}))
+        rc, out, err = _run(capsys, "thresholds", "--config", str(path),
+                            "--format", "json")
+        assert rc == 3
+        assert err.startswith("error: numeric: thresholds: hypotheses unmet")
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        (row,) = json.loads(out, parse_constant=refuse)
+        assert row["r1"] == 4.0
+        assert row["r2"] == pytest.approx(2055.537126138845, rel=1e-15)
 
     def test_huge_rate_thresholds_exits_0(self, capsys, tmp_path):
         path = tmp_path / "huge_rate.json"
