@@ -311,7 +311,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
+    parser.subcommands = sub.choices    # name -> parser, for _parse_args
     return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)` without the full parser's own pass;
+    left-over arguments take it, so its error keeps the top-level usage."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    if argv and argv[0] in _COMMANDS:
+        args, extra = parser.subcommands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -330,7 +344,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     rc = 0
     try:

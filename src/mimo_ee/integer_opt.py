@@ -5,11 +5,14 @@ continuous optimum need to be checked, clamped to the least feasible M.
 The detectors differ only in link's interference term I, (K - 1) e for
 MRC with e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its
 SNR is e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF.
-The search scans K upward in numpy blocks that double in size, from the
-first K whose 2^(R/K) is a finite double. A rate-aware lower bound on
-the power of every larger K ends the scan at the first K whose bound
-reaches the best power below it, exactly where a one-K-at-a-time loop
-would stop, so no externally supplied cap is needed. For MRC the bound
+The search scans K upward in numpy blocks from the first K whose 2^(R/K)
+is a finite double. The first block holds 512 K or, given the relaxed
+optimum k*, ends at ceil(1.3 k*) + 32 for MRC and ceil(1.6 k*) + 32 for
+ZF, just past where the bound fires on most searches; later blocks double
+in size. A rate-aware lower bound on the power of every larger K ends the
+scan at the first K whose bound reaches the best power below it, exactly
+where a one-K-at-a-time loop would stop, wherever the blocks end, so no
+externally supplied cap is needed. For MRC the bound
 charges the interference antennas through a convex minorant, which
 fires near 1.2 K* where the K -> inf limit fired near 1.8 K*.
 One kernel, `_block_powers`, ranks the candidates of every K and gives
@@ -41,6 +44,12 @@ _K_CEILING = 10_000_000
 # (the two M candidates of a block share (2, size) arrays)
 _FIRST_BLOCK = 512
 _LAST_BLOCK = 32_768
+# given the relaxed k*, the first block ends at ceil(reach k*) + 32: the
+# tail bound fires at a median 1.26 k* for MRC (at most 1.74) and 1.57 k*
+# for ZF (at most 1.85) over request-mix searches, and of the reaches
+# timed, 1.2-2.0, these were fastest
+_RELAXED_REACH = {Detector.MRC: 1.3, Detector.ZF: 1.6}
+_RELAXED_PAD = 32
 
 
 @dataclass(frozen=True)
@@ -84,12 +93,15 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
         # the least feasible M, floor(I) + 2, and the next, each rounded
         # once, as the float of best_m's exact int is
         least = np.floor(interference) + [[2.0], [3.0]]
-        m_cont = surplus - _headroom(0.0, ks, e, det)   # as in optimal_m
+        # as in optimal_m
+        m_cont = surplus - _headroom(0.0, ks, e, det, interference)
         finite = np.isfinite(m_cont)
         # row 0 holds the floor candidates, row 1 the ceilings
-        m = np.where(finite, np.maximum(least[0], np.stack(
-            (np.floor(m_cont), np.ceil(m_cont)))), least)
-        gamma = e / _headroom(m, ks, e, det)
+        rounded = np.empty_like(least)
+        np.floor(m_cont, out=rounded[0])
+        np.ceil(m_cont, out=rounded[1])
+        m = np.where(finite, np.maximum(least[0], rounded, out=rounded), least)
+        gamma = e / _headroom(m, ks, e, det, interference)
         power = _power_terms(m, ks, gamma, theta)[4]
         zeta = theta.R / power
         # gamma > 0 implies a positive headroom; an infinite one, zeta 0
@@ -176,8 +188,18 @@ def _require_k_max(k_max: int | None) -> None:
                          "got one past it")
 
 
+def _first_block(k_lo: int, k_relaxed: float | None, det: Detector) -> int:
+    """Size of the scan's first block, which starts at K = k_lo."""
+    if k_relaxed is None or not math.isfinite(k_relaxed):
+        return _FIRST_BLOCK
+    # capped first, since ceil refuses the inf that reach k* may round to
+    end = math.ceil(min(_RELAXED_REACH[det] * k_relaxed, k_lo + _LAST_BLOCK))
+    return min(max(end + _RELAXED_PAD + 1 - k_lo, 1), _LAST_BLOCK)
+
+
 def optimize_exact(theta: SystemParams, det: Detector, *,
-                   k_max: int | None = None) -> Optimum:
+                   k_max: int | None = None,
+                   k_relaxed: float | None = None) -> Optimum:
     """Find the integer (M, K) maximizing energy efficiency.
 
     Ties break toward smaller K and then smaller M: the scan replaces its
@@ -186,6 +208,10 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     larger user counts can keep improving and no finite answer exists.
     Without k_max the answer is certified by the tail bound; if the bound
     has not fired by K = 10 000 000 the search raises instead.
+    k_relaxed, the relaxed optimum's k* where the caller has it, sizes the
+    scan's first block to end just past where the bound should fire; the
+    blocks only set how much is priced at once, so the result is the same
+    for every value, nan and inf included. Without it the block holds 512 K.
     """
     _require_inputs(theta)
     if k_max is None and theta.rho_d <= 0:
@@ -197,7 +223,8 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     power_star, k_star, m_star = math.inf, 0, 0
     pruned_at: int | None = None
     # 2^(R/K) overflows at every K <= R / 1024, so those K cost +inf
-    k_lo, size = math.floor(theta.R / _EXP2_OVERFLOW) + 1, _FIRST_BLOCK
+    k_lo = math.floor(theta.R / _EXP2_OVERFLOW) + 1
+    size = _first_block(k_lo, k_relaxed, det)
     while pruned_at is None and k_lo <= k_ceiling:
         ks = np.arange(k_lo, min(k_lo + size, k_ceiling + 1), dtype=float)
         powers, best_m, bound = _block_powers(ks, theta, det)

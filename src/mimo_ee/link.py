@@ -67,11 +67,14 @@ def _interference(k, e, det: Detector):
     return (k - 1.0) * e if isinstance(k, np.ndarray) or k != 1 else 0.0
 
 
-def _headroom(m, k, e, det: Detector):
-    """SNR denominator M - 1 - I; ZF's is M - K, so it is rounded once."""
+def _headroom(m, k, e, det: Detector, interference=None):
+    """SNR denominator M - 1 - I; ZF's is M - K, so it is rounded once.
+    A caller that already holds `_interference(k, e, det)` passes it."""
     if det is Detector.ZF:
         return m - k
-    return m - 1.0 - _interference(k, e, det)
+    if interference is None:
+        interference = _interference(k, e, det)
+    return m - 1.0 - interference
 
 
 def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:

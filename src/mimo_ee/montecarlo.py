@@ -174,8 +174,10 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                     1.0 + zf[:, None, None] / diag_inv).sum(axis=-1)
 
 
-def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
-    """Simulate configs sharing (m, k, trials, seed) on common channel draws."""
+def _run_group(configs: Sequence[McConfig], threads: int
+               ) -> list[McResult | OverflowError]:
+    """Simulate configs sharing (m, k, trials, seed) on common channel draws;
+    a config whose rate leaves double range gets the error to raise."""
     first = configs[0]
     m, k, trials, seed = first.m, first.k, first.trials, first.seed
     gammas = {det: np.array([c.gamma for c in configs if c.detector is det])
@@ -197,10 +199,11 @@ def _run_group(configs: Sequence[McConfig], threads: int) -> list[McResult]:
         bound = rate_achieved(
             AntennaConfig(M=cfg.m, K=cfg.k), cfg.gamma, cfg.detector)
         if not (math.isfinite(empirical) and math.isfinite(bound)):
-            raise OverflowError(
+            results.append(OverflowError(
                 f"rate out of double range at m={cfg.m}, k={cfg.k}, "
                 f"gamma={cfg.gamma!r}, {cfg.detector.value}: simulated "
-                f"{empirical!r}, closed form {bound!r}")
+                f"{empirical!r}, closed form {bound!r}"))
+            continue
         spread = float(row.std(ddof=1)) if trials > 1 else 0.0
         results.append(McResult(
             empirical_rate=empirical, bound_rate=bound, margin=empirical - bound,
@@ -227,4 +230,8 @@ def bound_gap_sweep(configs: Iterable[McConfig], *,
         grouped.setdefault((cfg.m, cfg.k, cfg.trials, cfg.seed), []).append(cfg)
     results = {cfg: res for group in grouped.values()
                for cfg, res in zip(group, _run_group(group, threads))}
-    return [(cfg, results[cfg]) for cfg in config_list]
+    rows = [(cfg, results[cfg]) for cfg in config_list]
+    for _, res in rows:     # the first point out of range in input order
+        if isinstance(res, OverflowError):
+            raise res
+    return rows

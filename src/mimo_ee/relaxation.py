@@ -63,22 +63,26 @@ def _require_inputs(theta: SystemParams, k: float = 1.0) -> None:
 
 def _objective_grid(k: np.ndarray, theta: SystemParams,
                     det: Detector) -> np.ndarray:
-    """Reduced power objective on an array of k values; overflow maps to +inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.expm1((theta.R * math.log(2.0)) / k)
-        # one fixed order per detector, ZF h + k (rho_r + rho_d) + rho_s and
-        # MRC h + rho_r + rho_s + k rho_d + rho_r I (not ZF's with I = k - 1)
-        total = np.sqrt((theta.alpha * theta.rho_r) * k * e)
-        total *= 2.0  # h = 2 sqrt(alpha rho_r k e)
-        if det is Detector.ZF:
-            total += k * (theta.rho_r + theta.rho_d)
-            total += theta.rho_s
-        else:
-            total += theta.rho_r
-            total += theta.rho_s
-            total += k * theta.rho_d
-            total += theta.rho_r * _interference(k, e, det)
-    total[np.isnan(total)] = np.inf  # terms are >= 0: not finite is inf or nan
+    """Reduced power objective on an ascending array of k values; overflow
+    maps to +inf. Callers hold np.errstate(over="ignore", invalid="ignore")."""
+    e = np.expm1((theta.R * math.log(2.0)) / k)
+    # one fixed order per detector, ZF h + k (rho_r + rho_d) + rho_s and
+    # MRC h + rho_r + rho_s + k rho_d + rho_r I (not ZF's with I = k - 1)
+    total = np.sqrt((theta.alpha * theta.rho_r) * k * e)
+    total *= 2.0  # h = 2 sqrt(alpha rho_r k e)
+    if det is Detector.ZF:
+        total += k * (theta.rho_r + theta.rho_d)
+        total += theta.rho_s
+    else:
+        total += theta.rho_r
+        total += theta.rho_s
+        total += k * theta.rho_d
+        total += theta.rho_r * _interference(k, e, det)
+    # terms are >= 0, so a total that is not finite is inf or nan, and a nan
+    # needs 0 * inf: MRC's (k - 1) e at k = 1 with e = inf, or an overflowed
+    # alpha rho_r k times e = 0, which is e's least value, at the largest k
+    if (k[0] == 1.0 and det is Detector.MRC) or e[-1] == 0.0:
+        total[np.isnan(total)] = np.inf
     return total
 
 
@@ -89,7 +93,8 @@ def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
     never minima because a larger k always brings the power back to finite.
     """
     _require_inputs(theta, k)
-    return float(_objective_grid(np.array([float(k)]), theta, det)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_objective_grid(np.array([float(k)]), theta, det)[0])
 
 
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
@@ -127,35 +132,36 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
         k_cap = float(k_max)
 
-    # exp(unit ln k_cap): exp(0) is 1, but exp(log(x)) need not be x
-    grid = _UNIT * math.log(k_cap)
-    np.exp(grid, out=grid)
-    grid[-1] = k_cap
-    values = _objective_grid(grid, theta, det)
-    best = int(np.argmin(values))  # first minimum wins, i.e. smaller k on ties
-    if not math.isfinite(values[best]):
-        raise InfeasibleError(
-            "power overflows double range over the whole k grid")
-    objective, k_star = float(values[best]), float(grid[best])
-    bracket = (float(grid[max(best - 1, 0)]),
-               float(grid[min(best + 1, _GRID_POINTS - 1)]))
-
-    # zoom: a linear grid over the bracket, then over the bracket around
-    # its argmin, until the bracket is narrower than the tolerance; the
-    # running best only ever improves, so no round can lose the coarse winner
-    lo, hi = bracket
-    rounds = 0
-    while hi - lo > _REL_TOL * max(1.0, hi):
-        # hi <= 2 lo, so hi - lo is exact and the last point is hi itself
-        grid = _ZOOM_UNIT * (hi - lo)
-        grid += lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exp(unit ln k_cap): exp(0) is 1, but exp(log(x)) need not be x
+        grid = _UNIT * math.log(k_cap)
+        np.exp(grid, out=grid)
+        grid[-1] = k_cap
         values = _objective_grid(grid, theta, det)
-        best = int(np.argmin(values))
-        if values[best] < objective:
-            objective, k_star = float(values[best]), float(grid[best])
-        lo = float(grid[max(best - 1, 0)])
-        hi = float(grid[min(best + 1, _ZOOM_POINTS - 1)])
-        rounds += 1
+        best = int(values.argmin())  # first minimum wins: smaller k on ties
+        if not math.isfinite(values[best]):
+            raise InfeasibleError(
+                "power overflows double range over the whole k grid")
+        objective, k_star = float(values[best]), float(grid[best])
+        bracket = (float(grid[max(best - 1, 0)]),
+                   float(grid[min(best + 1, _GRID_POINTS - 1)]))
+
+        # zoom: a linear grid over the bracket, then over the bracket around
+        # its argmin, until the bracket is narrower than the tolerance; the
+        # running best only ever improves, so no round loses the coarse winner
+        lo, hi = bracket
+        rounds = 0
+        while hi - lo > _REL_TOL * max(1.0, hi):
+            # hi <= 2 lo, so hi - lo is exact and the last point is hi itself
+            grid = _ZOOM_UNIT * (hi - lo)
+            grid += lo
+            values = _objective_grid(grid, theta, det)
+            best = int(values.argmin())
+            if values[best] < objective:
+                objective, k_star = float(values[best]), float(grid[best])
+            lo = float(grid[max(best - 1, 0)])
+            hi = float(grid[min(best + 1, _ZOOM_POINTS - 1)])
+            rounds += 1
 
     return RelaxedOptimum(
         k_star=k_star, m_star=optimal_m(theta, k_star, det),

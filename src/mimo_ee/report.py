@@ -126,7 +126,9 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
         exact = None
         if need_exact:
             try:
-                exact = optimize_exact(theta, det, k_max=spec.k_max)
+                exact = optimize_exact(
+                    theta, det, k_max=spec.k_max,
+                    k_relaxed=solved[det].k_star if det in solved else None)
             except _ROW_ERRORS as exc:
                 errors.append(f"exact: {exc}")
         if exact is not None and "exact" in spec.outputs:
@@ -240,13 +242,20 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
+# _csv_cell by exact type, for the types a record holds; a subclass or a
+# numpy scalar takes _csv_cell itself
+_CSV_CELL = {type(None): lambda value: "", Detector: lambda det: det.value,
+             bool: _csv_cell, int: str, float: repr, str: str}
+
+
 def render_csv(records: Sequence[dict], columns: Sequence[str]) -> str:
     """Records to CSV text; byte-deterministic for identical records."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in records:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerow([_CSV_CELL.get(type(value), _csv_cell)(value)
+                         for value in map(row.get, columns)])
     return buf.getvalue()
 
 

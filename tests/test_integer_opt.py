@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
 from mimo_ee.integer_opt import (_FIRST_BLOCK, _LAST_BLOCK, Optimum,
-                                 _block_powers, optimize_exact)
+                                 _block_powers, _first_block, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           is_feasible)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -614,3 +614,61 @@ class TestUnreachableRates:
         want = _sequential_search(theta, det)
         assert want.k_range_searched[0] == 1
         assert optimize_exact(theta, det) == want
+
+
+class TestRelaxedFirstBlock:
+    """k_relaxed only sizes the scan's first block: every Optimum field,
+    the searched range and the prune point included, stays the default
+    scan's, whatever the estimate."""
+
+    @staticmethod
+    def _hints(k_ref):
+        return (1, 0.5 * k_ref, k_ref, 10 * k_ref, 1e12, math.nan, math.inf)
+
+    def test_any_estimate_gives_the_default_answer(self):
+        unreachable = _theta(R=TestUnreachableRates.R_ZERO_GAIN * 0.5)
+        corpus = list(_reference_corpus())
+        for det in (MRC, ZF):
+            corpus += [(_theta(R=2100.0), det, None),   # scan starts at K = 3
+                       (_theta(R=2100.0), det, 40),
+                       (unreachable, det, None), (unreachable, det, 5000)]
+        for theta, det, k_max in corpus:
+            try:
+                want = optimize_exact(theta, det, k_max=k_max)
+            except InfeasibleError as exc:
+                for hint in self._hints(100.0):
+                    with pytest.raises(InfeasibleError, match=str(exc)):
+                        optimize_exact(theta, det, k_max=k_max,
+                                       k_relaxed=hint)
+                continue
+            for hint in self._hints(float(want.k_star)):
+                assert optimize_exact(theta, det, k_max=k_max,
+                                      k_relaxed=hint) == want, \
+                    (theta, det, k_max, hint)
+
+    def test_first_block_sizes(self):
+        for det in (MRC, ZF):
+            assert _first_block(1, None, det) == _FIRST_BLOCK
+            assert _first_block(1, math.nan, det) == _FIRST_BLOCK
+            assert _first_block(1, math.inf, det) == _FIRST_BLOCK
+            assert _first_block(1, 1.7e308, det) == _LAST_BLOCK
+            assert _first_block(5000, 1.0, det) == 1
+        assert _first_block(1, 100.0, MRC) == 130 + 32
+        assert _first_block(3, 100.0, ZF) == 160 + 32 - 2
+
+    @pytest.mark.parametrize("det, rate", [(MRC, 140.0), (ZF, 500.0)])
+    def test_a_hundred_users_take_one_short_block(self, monkeypatch, det,
+                                                  rate):
+        sizes = []
+
+        def recorded(ks, theta, det):
+            sizes.append(ks.size)
+            return _block_powers(ks, theta, det)
+
+        monkeypatch.setattr("mimo_ee.integer_opt._block_powers", recorded)
+        (row,) = sweep_records(SweepSpec(
+            r_values=(rate,), theta_base=PowerProfile(
+                alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+            detectors=(det,)))
+        assert 90 <= row["K_star"] <= 110
+        assert len(sizes) == 1 and sizes[0] < _FIRST_BLOCK, sizes

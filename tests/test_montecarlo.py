@@ -104,6 +104,18 @@ class TestDeterminism:
                     f"gamma=1.7e\\+308, {order[0].value}: simulated")):
                 bound_gap_sweep(family)
 
+    def test_overflow_names_the_first_config_across_designs(self):
+        # groups run in order of their first config, so the (8, 2) group
+        # runs first; its bad point is third in the input, the (6, 3) one
+        # second, and the refusal names the second
+        family = [McConfig(m=8, k=2, gamma=0.2, detector=MRC, trials=50),
+                  McConfig(m=6, k=3, gamma=1.7e308, detector=ZF, trials=50),
+                  McConfig(m=8, k=2, gamma=1.6e308, detector=MRC, trials=50)]
+        with np.errstate(all="raise"):
+            with pytest.raises(OverflowError,
+                               match="m=6, k=3, gamma=1.7e\\+308, zf"):
+                bound_gap_sweep(family)
+
     def test_seed_changes_the_draws(self):
         a = _simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
                                trials=2000, seed=0))

@@ -146,7 +146,8 @@ class TestReducedPower:
                            rho_s=10.0 ** rng.uniform(-10, -6))
             ks = R / per_user * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])
             for det in (MRC, ZF):
-                got = _objective_grid(ks, theta, det)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _objective_grid(ks, theta, det)
                 for k, value in zip(ks, got):
                     exact = self._decimal_objective(float(k), theta, det)
                     assert abs(value - exact) <= 8 * math.ulp(exact), \
@@ -155,6 +156,18 @@ class TestReducedPower:
     def test_overflow_maps_to_infinity(self):
         assert reduced_power(1.0, _theta(R=2000.0), MRC) == math.inf
         assert reduced_power(1.0, _theta(R=2000.0), ZF) == math.inf
+
+    def test_an_underflowed_rate_is_no_nan(self):
+        # at k = 1e300, R ln2 / k underflows to 0 and alpha rho_r k
+        # overflows, so the square root's product is inf * 0: the grid
+        # gives +inf there, not the nan that argmin would pick
+        theta = _theta(R=1e-300, rho_r=1e10)
+        for det in (MRC, ZF):
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = _objective_grid(np.array([2.0, 1e300]), theta, det)
+            assert grid[1] == math.inf
+            out = minimize_relaxed(theta, det, k_max=1e300)
+            assert (out.k_star, out.objective) == (1.0, 1e10 + 2.0)
 
     @settings(max_examples=100)
     @given(det=st.sampled_from([MRC, ZF]), k=st.floats(1.0, 50.0),
@@ -395,8 +408,10 @@ class TestGlobalMinimum:
                 for k_max in (None, k_cap_drawn):
                     out = minimize_relaxed(theta, det, k_max=k_max)
                     k_cap = self._k_cap(theta, det, k_max)
-                    dense = _objective_grid(np.geomspace(1.0, k_cap, 20001),
-                                            theta, det)
+                    # the grid leaves overflow warnings to its caller
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        dense = _objective_grid(
+                            np.geomspace(1.0, k_cap, 20001), theta, det)
                     assert out.objective <= dense.min() * (1.0 + 1e-12), \
                         (theta, det, k_max)
                     for k in (out.k_star * (1.0 - 1e-7),

@@ -1,6 +1,7 @@
 """Tabular reports and the command-line frontend."""
 
 import csv
+import enum
 import importlib.util
 import json
 import math
@@ -10,18 +11,19 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimo_ee
 from mimo_ee.asymptotics import TrajectorySpec, trajectory_zeta
-from mimo_ee.cli import main
+from mimo_ee.cli import _build_parser, _parse_args, main
 from mimo_ee.integer_opt import optimize_exact
 from mimo_ee.link import Detector
 from mimo_ee.montecarlo import McConfig, bound_gap_sweep
 from mimo_ee.relaxation import minimize_relaxed
 from mimo_ee.report import (BASE_COLUMNS, SweepSpec, THRESHOLD_COLUMNS,
                             TRAJECTORY_COLUMNS, VALIDATION_COLUMNS,
-                            render_csv, render_json, sweep_columns,
+                            _csv_cell, render_csv, render_json, sweep_columns,
                             sweep_records, threshold_record,
                             trajectory_records, validation_records)
 from mimo_ee.units import PowerProfile, SystemParams
@@ -203,6 +205,19 @@ class TestRendering:
                              else "false")
         assert first[13] == ""  # empty error cell
 
+    def test_csv_cells_of_other_types_format_as_before(self):
+        # cells by exact type; a subclass or a numpy scalar is formatted
+        # by the general rule, as every cell was
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        values = [None, MRC, True, False, 3, 10 ** 30, 0.1, -0.0, math.inf,
+                  "x,y", np.float64(0.1), np.int64(5), np.bool_(True),
+                  Level.HIGH, 2 ** 0.5]
+        text = render_csv([{"a": v} for v in values], ["a"])
+        want = render_csv([{"a": _csv_cell(v)} for v in values], ["a"])
+        assert text == want
+
     def test_json_round_trips_the_table(self):
         spec = _spec()
         text = render_json(sweep_records(spec), sweep_columns(spec))
@@ -288,6 +303,37 @@ def _run(capsys, *argv):
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--config", "X", "--bogus"],
+        ["optimize", "--config", "X", "extra"],
+        ["optimize", "--format", "json"],     # no --config
+        ["optimize", "--help"],
+        ["bogus", "--config", "X"],
+        ["--help"],
+    ])
+    def test_dispatch_keeps_the_full_parsers_bytes(self, capsys, argv):
+        # main parses a subcommand's arguments with its own parser; each
+        # exit must print what the full parser prints, usage line included
+        def outcome(parse):
+            with pytest.raises(SystemExit) as stop:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            return stop.value.code, captured.out, captured.err
+
+        want = outcome(_build_parser().parse_args)
+        assert outcome(main) == want
+        assert want[0] == (0 if "--help" in argv else 2)
+        if "--bogus" in argv:
+            assert want[2].startswith("usage: mimo-ee [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--config", "X"],
+        ["validate", "--config=X", "--seed", "7", "--threads", "2"],
+        ["sweep", "--con", "X", "--k-max", "40", "--format", "json"],
+    ])
+    def test_dispatch_gives_the_full_parsers_namespace(self, argv):
+        assert vars(_parse_args(argv)) == vars(_build_parser().parse_args(argv))
+
     def test_every_subcommand_succeeds(self, capsys, config_path):
         for cmd, header0 in (("optimize", "R"), ("sweep", "R"),
                              ("breakdown", "R"), ("trajectory", "R"),
