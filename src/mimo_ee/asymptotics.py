@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .efficiency import evaluate_efficiency
-from .link import AntennaConfig, Detector, exp2_sat
+from .link import AntennaConfig, Detector, _exp2m1
 from .relaxation import minimize_relaxed, optimal_m
 from .units import PowerProfile, SystemParams
 
@@ -54,7 +54,7 @@ class Thresholds:
 def trajectory_zeta(spec: TrajectorySpec, R: float) -> float:
     """Closed-form efficiency of the constant-per-user-rate design at R."""
     c, p = spec.c, spec.profile
-    e = exp2_sat(c) - 1.0
+    e = _exp2m1(c)
     den = (2.0 * math.sqrt((p.alpha * p.rho_r / R) * e / c)
            + p.rho_r / R + p.rho_s / R + p.rho_d / c
            + p.rho_r * (1.0 / c - 1.0 / R) * e)
@@ -88,7 +88,7 @@ def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
 def trajectory_limit(spec: TrajectorySpec) -> float:
     """Efficiency that the constant-per-user-rate family approaches as R grows."""
     c, p = spec.c, spec.profile
-    den = p.rho_d + p.rho_r * (exp2_sat(c) - 1.0)
+    den = p.rho_d + p.rho_r * _exp2m1(c)
     if den <= 0:
         raise ValueError(
             "limit undefined: rho_d + rho_r*(2^c - 1) must be positive")

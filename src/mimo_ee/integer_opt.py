@@ -3,8 +3,9 @@
 For each K the power is convex in M, so only the floor and ceiling of the
 continuous optimum need to be checked, clamped to the least feasible M.
 The detectors differ only in link's interference term I, (K - 1) e for
-MRC with e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its
-SNR is e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF.
+MRC with e = 2^(R/K) - 1, formed by link's one `_exp2m1`, and K - 1 for
+ZF: a design needs M - 1 > I, its SNR is e / (M - 1 - I), and its least M
+is floor(I) + 2, K + 1 for ZF.
 The search scans K upward in numpy blocks from the first K whose 2^(R/K)
 is a finite double. The first block holds 512 K or, given the relaxed
 optimum k*, ends at ceil(1.3 k*) + 32 for MRC and ceil(1.6 k*) + 32 for
@@ -26,13 +27,12 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
 from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
-                   _headroom, _interference)
+                   _exp2m1, _headroom, _interference)
 from .relaxation import _require_inputs
 from .units import SystemParams
 
@@ -77,16 +77,13 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
     that M and the next where the optimum is not finite; both are priced
     in one pass. Each power repeats `evaluate_efficiency`'s operations in
     its order, so it equals that function's total power bit for bit, and
-    is +inf where it would raise. numpy's own power differs from the C
-    library's in the last bit on some arguments, so 2^(R/K) is taken from
-    math.pow. best_m(i) is the least M attaining a finite powers[i], as an
-    exact int also past 2^53. The third array is `_tail_lower_bound`'s.
+    is +inf where it would raise; e = 2^(R/K) - 1 comes from link's
+    `_exp2m1`, as there. best_m(i) is the least M attaining a finite
+    powers[i], as an exact int also past 2^53. The third array is
+    `_tail_lower_bound`'s.
     """
     x = theta.R / ks
-    # an unreachable K keeps e = 0, so its gamma is never positive
-    e = np.fromiter(map(math.pow, repeat(2.0),
-                        np.where(x < _EXP2_OVERFLOW, x, 0.0).tolist()),
-                    float, ks.size) - 1.0
+    e = _exp2m1(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
         interference = _interference(ks, e, det)
@@ -94,14 +91,14 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
         # once, as the float of best_m's exact int is
         least = np.floor(interference) + [[2.0], [3.0]]
         # as in optimal_m
-        m_cont = surplus - _headroom(0.0, ks, e, det, interference)
+        m_cont = surplus - _headroom(0.0, ks, interference, det)
         finite = np.isfinite(m_cont)
         # row 0 holds the floor candidates, row 1 the ceilings
         rounded = np.empty_like(least)
         np.floor(m_cont, out=rounded[0])
         np.ceil(m_cont, out=rounded[1])
         m = np.where(finite, np.maximum(least[0], rounded, out=rounded), least)
-        gamma = e / _headroom(m, ks, e, det, interference)
+        gamma = e / _headroom(m, ks, interference, det)
         power = _power_terms(m, ks, gamma, theta)[4]
         zeta = theta.R / power
         # gamma > 0 implies a positive headroom; an infinite one, zeta 0
@@ -147,7 +144,7 @@ def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
     (k+1) rho_r + k rho_d + rho_s and C - rho_r + k (rho_r + rho_d).
 
     Rounding: every bound is scaled by (1 - 1e-12). Where x >= 2^-8,
-    math.pow's error of under one ulp leaves e(K') within 4e-13 relative
+    `_exp2m1`'s pow errs by under one ulp, so e(K') is within 4e-13 relative
     of 2^(R/K') - 1 for every K' <= 4k (1e-13 at k), and the sums round
     by a few ulps, so the margin covers K' <= 4k. Past 2k the slope of f
     is at least rho_d / 2, and its climb outruns the absolute error of
@@ -241,11 +238,9 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
             if powers[i] < power_star:
                 power_star, k_star, m_star = (float(powers[i]), k_lo + i,
                                               best_m(i))
-        if (power_star == math.inf and theta.R < ks[-1]
-                and math.pow(2.0, theta.R / ks[-1]) == 1.0):
+        if power_star == math.inf and _exp2m1(theta.R / ks[-1]) == 0.0:
             # 2^(R/K) - 1 is 0 here and, as R/K falls, at every larger K:
-            # no K beyond this block reaches the rate either (R < K keeps
-            # the pow in range)
+            # no K beyond this block reaches the rate either
             break
         k_lo += ks.size
         size = min(2 * size, _LAST_BLOCK)

@@ -6,7 +6,9 @@ algebraic inverses of the SNR expressions used here.
 
 The detectors differ only in the interference I, (K - 1) e for MRC with
 e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its SNR is
-e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF.
+e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF. Every
+integer design forms e by `_exp2m1`, the one 2^x - 1 of the package; only
+the relaxed grid forms it by expm1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -30,11 +33,18 @@ class InfeasibleError(ValueError):
     """The demanded rate is unachievable at any transmit power."""
 
 
-def exp2_sat(x: float) -> float:
-    """2**x, saturating to +inf instead of raising OverflowError."""
-    if x >= _EXP2_OVERFLOW:
-        return math.inf
-    return 2.0 ** x
+def _exp2m1(x):
+    """2^x - 1 on a float or a float array, +inf from x = 1024 on, where 2^x
+    leaves double range. 2^x is the C library's pow, as Python's ** forms
+    it; numpy's own power differs from it in the last bit on some arguments.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.inf if x >= _EXP2_OVERFLOW else math.pow(2.0, x) - 1.0
+    try:
+        return np.fromiter(map(math.pow, repeat(2.0), x.tolist()), float,
+                           x.size) - 1.0
+    except OverflowError:   # masked only then; math.pow(2, inf) is inf
+        return _exp2m1(np.where(x >= _EXP2_OVERFLOW, math.inf, x))
 
 
 @dataclass(frozen=True)
@@ -67,13 +77,11 @@ def _interference(k, e, det: Detector):
     return (k - 1.0) * e if isinstance(k, np.ndarray) or k != 1 else 0.0
 
 
-def _headroom(m, k, e, det: Detector, interference=None):
-    """SNR denominator M - 1 - I; ZF's is M - K, so it is rounded once.
-    A caller that already holds `_interference(k, e, det)` passes it."""
+def _headroom(m, k, interference, det: Detector):
+    """SNR denominator M - 1 - I, with I from `_interference`; ZF's is
+    M - K, so it is rounded once."""
     if det is Detector.ZF:
         return m - k
-    if interference is None:
-        interference = _interference(k, e, det)
     return m - 1.0 - interference
 
 
@@ -81,23 +89,27 @@ def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
     """Whether (M, K) can deliver sum rate `rate` with finite transmit power."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    return _headroom(cfg.M, cfg.K, exp2_sat(rate / cfg.K) - 1.0, det) > 0.0
+    e = _exp2m1(rate / cfg.K)
+    return _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det) > 0.0
 
 
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
     """Normalized per-user transmit SNR needed to reach the sum rate.
 
     Raises InfeasibleError when the configuration cannot reach the rate,
-    including the case where the required power overflows double range.
+    and where the required power overflows double range or rounds to 0.
     """
     if not is_feasible(cfg, rate, det):
         raise InfeasibleError(
             f"rate {rate} unachievable at any transmit power "
             f"for M={cfg.M}, K={cfg.K} with {det.value}")
-    e = exp2_sat(rate / cfg.K) - 1.0
-    # gamma is 0 where 2^(R/K) rounds to 1
-    gamma = e / _headroom(cfg.M, cfg.K, e, det)
-    if not 0.0 < gamma < math.inf:
+    e = _exp2m1(rate / cfg.K)
+    gamma = e / _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det)
+    if gamma == 0.0:   # 2^(R/K) rounds to 1, or e / headroom underflows
+        raise InfeasibleError(
+            f"required transmit power rounds to 0 "
+            f"for M={cfg.M}, K={cfg.K}, rate {rate} with {det.value}")
+    if not gamma < math.inf:
         raise InfeasibleError(
             f"required transmit power overflows double range "
             f"for M={cfg.M}, K={cfg.K}, rate {rate} with {det.value}")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import (Detector, InfeasibleError, _headroom, _interference,
-                   exp2_sat)
+from .link import (Detector, InfeasibleError, _exp2m1, _headroom,
+                   _interference)
 from .units import SystemParams
 
 _GRID_POINTS = 4096
@@ -100,10 +100,10 @@ def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     """Closed-form antenna count minimizing the power at fixed user count k."""
     _require_inputs(theta, k)
-    e = exp2_sat(theta.R / k) - 1.0
+    e = _exp2m1(theta.R / k)
     surplus = math.sqrt(theta.alpha * k * e / theta.rho_r)
     # the M whose headroom is the surplus: 1 + I + surplus, ZF's K + surplus
-    return surplus - _headroom(0.0, k, e, det)
+    return surplus - _headroom(0.0, k, _interference(k, e, det), det)
 
 
 def minimize_relaxed(theta: SystemParams, det: Detector, *,

@@ -228,24 +228,10 @@ def threshold_record(theta: SystemParams) -> dict:
     return row
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Detector):
-        return value.value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-# _csv_cell by exact type, for the types a record holds; a subclass or a
-# numpy scalar takes _csv_cell itself
+# a cell's text by the exact type of its value; a record holds only these
 _CSV_CELL = {type(None): lambda value: "", Detector: lambda det: det.value,
-             bool: _csv_cell, int: str, float: repr, str: str}
+             bool: lambda flag: "true" if flag else "false", int: str,
+             float: repr, str: str}
 
 
 def render_csv(records: Sequence[dict], columns: Sequence[str]) -> str:
@@ -254,21 +240,12 @@ def render_csv(records: Sequence[dict], columns: Sequence[str]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in records:
-        writer.writerow([_CSV_CELL.get(type(value), _csv_cell)(value)
+        writer.writerow([_CSV_CELL[type(value)](value)
                          for value in map(row.get, columns)])
     return buf.getvalue()
 
 
-def _json_cell(value: object):
-    if isinstance(value, Detector):
-        return value.value
-    if isinstance(value, float):
-        return float(value)
-    return value
-
-
 def render_json(records: Sequence[dict], columns: Sequence[str]) -> str:
     """Same table as render_csv, as a JSON array of row objects."""
-    rows = [{col: _json_cell(row.get(col)) for col in columns}
-            for row in records]
-    return json.dumps(rows, indent=2) + "\n"
+    rows = [{col: row.get(col) for col in columns} for row in records]
+    return json.dumps(rows, indent=2, default=lambda det: det.value) + "\n"

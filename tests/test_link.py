@@ -3,10 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError, exp2_sat,
+from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError, _exp2m1,
                           gamma_required, is_feasible, rate_achieved)
 
 MRC, ZF = Detector.MRC, Detector.ZF
@@ -84,8 +85,18 @@ class TestGammaRequired:
 
     def test_overflowing_exponent_raises_even_when_feasible(self):
         # K=1 keeps the config feasible, but 2^R is not a double anymore
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="overflows double range"):
             gamma_required(AntennaConfig(M=2, K=1), 5000.0, MRC)
+
+    @pytest.mark.parametrize("m,k,rate", [(3, 2, 1e-320), (2, 1, 1e-17),
+                                          (2 ** 1023, 1, 2e-16)])
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_power_that_rounds_to_zero_is_named(self, m, k, rate, det):
+        # 2^(R/K) rounds to 1, or e / (M - 1 - I) underflows: gamma is 0
+        cfg = AntennaConfig(M=m, K=k)
+        assert is_feasible(cfg, rate, det)
+        with pytest.raises(InfeasibleError, match="rounds to 0"):
+            gamma_required(cfg, rate, det)
 
     def test_gamma_decreases_with_antennas(self):
         # K=4 at two bits per user needs M - 1 > 3 * 3, so M >= 11
@@ -156,7 +167,27 @@ class TestRateAchieved:
 
 
 class TestSaturation:
+    # from 2^-60 to the last double below 1024, and a seeded sample
+    _X = np.concatenate((
+        2.0 ** np.arange(-60.0, 10.0), [1023.0, 1023.9, np.nextafter(1024, 0)],
+        np.random.default_rng(23).uniform(0.0, 1024.0, 2000),
+        np.random.default_rng(24).uniform(1e-9, 1e-3, 2000)))
+
+    def test_equals_python_pow_bit_for_bit(self):
+        want = [2.0 ** x - 1.0 for x in self._X.tolist()]
+        assert [_exp2m1(x) for x in self._X.tolist()] == want
+        assert _exp2m1(self._X).tolist() == want
+        assert _exp2m1(self._X[::-1]).tolist() == want[::-1]
+
     def test_exp2_saturates_instead_of_raising(self):
-        assert exp2_sat(1023.9) < math.inf
-        assert exp2_sat(1024.0) == math.inf
-        assert exp2_sat(10.0) == 1024.0
+        assert _exp2m1(1023.9) < math.inf
+        assert _exp2m1(1024.0) == math.inf
+        assert _exp2m1(10.0) == 1023.0
+        over = [1024.0, np.nextafter(1024, 2048), 5000.0, 1e308, math.inf]
+        assert all(_exp2m1(x) == math.inf for x in over)
+        # in any position of an array, the rest of it unchanged
+        x = np.array([3.0, *over, 0.5, 1023.9])
+        got = _exp2m1(x)
+        assert got[1:6].tolist() == [math.inf] * 5
+        assert [got[0], *got[6:]] == [7.0, 2.0 ** 0.5 - 1.0,
+                                      2.0 ** 1023.9 - 1.0]

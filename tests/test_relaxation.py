@@ -224,6 +224,13 @@ class TestOptimalM:
         with pytest.raises(ValueError, match="rho_r"):
             optimal_m(_theta(rho_r=0.0), 2.0, MRC)
 
+    @pytest.mark.parametrize("k", [0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_user_count_that_is_no_design(self, k):
+        with pytest.raises(ValueError, match="k must be finite and >= 1"):
+            optimal_m(_theta(), k, MRC)
+        with pytest.raises(ValueError, match="k must be finite and >= 1"):
+            reduced_power(k, _theta(), MRC)
+
 
 def _dense_oracle(theta, det, k_hi, points=40960):
     """Solver-independent reduction: brute grid plus local parabolic zoom."""

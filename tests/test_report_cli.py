@@ -1,8 +1,8 @@
 """Tabular reports and the command-line frontend."""
 
 import csv
-import enum
 import importlib.util
+import io
 import json
 import math
 import os
@@ -11,19 +11,18 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import mimo_ee
 from mimo_ee.asymptotics import TrajectorySpec, trajectory_zeta
-from mimo_ee.cli import _build_parser, _parse_args, main
+from mimo_ee.cli import _COMMANDS, _build_parser, _parse_args, main
 from mimo_ee.integer_opt import optimize_exact
 from mimo_ee.link import Detector
 from mimo_ee.montecarlo import McConfig, bound_gap_sweep
 from mimo_ee.relaxation import minimize_relaxed
 from mimo_ee.report import (BASE_COLUMNS, SweepSpec, THRESHOLD_COLUMNS,
                             TRAJECTORY_COLUMNS, VALIDATION_COLUMNS,
-                            _csv_cell, render_csv, render_json, sweep_columns,
+                            render_csv, render_json, sweep_columns,
                             sweep_records, threshold_record,
                             trajectory_records, validation_records)
 from mimo_ee.units import PowerProfile, SystemParams
@@ -32,6 +31,26 @@ MRC, ZF = Detector.MRC, Detector.ZF
 
 _HEADER = ("R,detector,M_star,K_star,zeta_star,zeta_relaxed,ratio,"
            "pa_fraction,power_pa,power_bs,power_users,power_residual")
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _assert_same_table(csv_text, json_text):
+    """The JSON table is strict and says what the CSV says, cell for cell."""
+    rows = json.loads(json_text, parse_constant=_refuse)
+    header, *lines = csv.reader(io.StringIO(csv_text))
+    assert len(rows) == len(lines)
+    for row, line in zip(rows, lines):
+        assert list(row) == header
+        for value, cell in zip(row.values(), line):
+            if value is None or isinstance(value, str):
+                assert cell == ("" if value is None else value)
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            else:
+                assert cell == repr(value)
 
 
 def _profile(alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0):
@@ -166,6 +185,11 @@ class TestSweepRecords:
             _spec(outputs=frozenset({"exact", "bogus"}))
         with pytest.raises(ValueError, match="trajectory_c"):
             _spec(outputs=frozenset({"trajectory"}))
+        with pytest.raises(ValueError, match="at least one output"):
+            _spec(outputs=frozenset())
+        for c in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="trajectory_c must be"):
+                _spec(outputs=frozenset({"trajectory"}), trajectory_c=c)
         with pytest.raises(ValueError, match="k_max"):
             _spec(k_max=0)
 
@@ -205,18 +229,44 @@ class TestRendering:
                              else "false")
         assert first[13] == ""  # empty error cell
 
-    def test_csv_cells_of_other_types_format_as_before(self):
-        # cells by exact type; a subclass or a numpy scalar is formatted
-        # by the general rule, as every cell was
-        class Level(enum.IntEnum):
-            HIGH = 7
-
-        values = [None, MRC, True, False, 3, 10 ** 30, 0.1, -0.0, math.inf,
-                  "x,y", np.float64(0.1), np.int64(5), np.bool_(True),
-                  Level.HIGH, 2 ** 0.5]
-        text = render_csv([{"a": v} for v in values], ["a"])
-        want = render_csv([{"a": _csv_cell(v)} for v in values], ["a"])
-        assert text == want
+    def test_every_table_holds_its_columns_and_six_cell_types(self):
+        # render_csv formats a cell by the exact type of its value, so every
+        # record of every table the CLI prints holds its columns, in order,
+        # and only these types; each type is seen in some table
+        cell_types = {type(None), Detector, bool, int, float, str}
+        cfg = {
+            "normalized": {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0,
+                           "rho_s": 1.0},
+            "sweep": {"r_values": [2.0, 4.0, 8.0],
+                      "outputs": ["exact", "relaxed", "trajectory",
+                                  "pa_fraction", "comparison"],
+                      "trajectory_c": 3.0},
+            "optimize": {"R": 8.0},
+            "trajectory": {"c": 2.0, "r_values": [1.0, 2.0, 10.0]},
+            "montecarlo": {"trials": 400, "seed": 3, "points": [
+                {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc"},
+                {"m": 8, "k": 2, "gamma": 0.3, "detector": "zf"}]},
+        }
+        tables = [(cmd, cfg) for cmd in ("sweep", "optimize", "breakdown",
+                                         "trajectory", "validate")]
+        tables += [("thresholds", {**cfg, "thresholds": {"R": rate}})
+                   for rate in (5.0, 40.0)]   # hypotheses unmet, then met
+        seen, errors = set(), set()
+        for cmd, config in tables:
+            args = _parse_args([cmd, "--config", "unused.json"])
+            compute, columns = _COMMANDS[cmd][0](config, args)
+            records = compute()
+            assert records, cmd
+            for row in records:
+                assert tuple(row) == tuple(columns), cmd
+                assert {type(v) for v in row.values()} <= cell_types, cmd
+                seen |= {type(v) for v in row.values()}
+                if row.get("error"):
+                    errors.add(cmd)
+            _assert_same_table(render_csv(records, columns),
+                               render_json(records, columns))
+        assert seen == cell_types
+        assert errors == {"sweep", "trajectory", "thresholds"}
 
     def test_json_round_trips_the_table(self):
         spec = _spec()
@@ -294,6 +344,100 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+_NORM = {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0, "rho_s": 1.0}
+_POINT = {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc"}
+
+
+def _sweep(**sweep):
+    return {"normalized": _NORM, "sweep": {"r_values": [4.0], **sweep}}
+
+
+def _points(*points):
+    return {"montecarlo": {"trials": 400, "points": list(points)}}
+
+
+# every refusal of a config: (command, config or its text, the key that
+# the one error line names)
+_REFUSALS = [
+    pytest.param("sweep", "[1, 2]", "top level", id="top-level-array"),
+    pytest.param("sweep", {"normalized": _NORM, "sweep": [4.0]}, "'sweep'",
+                 id="section-not-object"),
+    pytest.param("optimize", {"normalized": 2.0, "optimize": {"R": 4.0}},
+                 "'normalized'", id="profile-not-object"),
+    pytest.param("sweep", _sweep(bogus=1), "bogus", id="unknown-section-key"),
+    pytest.param("sweep", {"normalized": {"alpha": 2.0, "rho_r": 1.0,
+                                          "rho_d": 1.0},
+                           "sweep": {"r_values": [4.0]}},
+                 "'rho_s'", id="missing-number"),
+    pytest.param("sweep", {"normalized": {**_NORM, "alpha": "2"},
+                           "sweep": {"r_values": [4.0]}},
+                 "'normalized.alpha'", id="string-number"),
+    pytest.param("sweep", {"normalized": {**_NORM, "rho_r": True},
+                           "sweep": {"r_values": [4.0]}},
+                 "'normalized.rho_r'", id="bool-number"),
+    pytest.param("thresholds", {"normalized": _NORM, "thresholds": {}},
+                 "'R'", id="missing-rate"),
+    pytest.param("validate", {"montecarlo": {"trials": 2.5,
+                                             "points": [_POINT]}},
+                 "'montecarlo.trials'", id="float-integer"),
+    pytest.param("validate", {"montecarlo": {"seed": True,
+                                             "points": [_POINT]}},
+                 "'montecarlo.seed'", id="bool-integer"),
+    pytest.param("validate", _points({**_POINT, "k": "2"}),
+                 "'montecarlo.points[0].k'", id="string-integer"),
+    pytest.param("validate", _points({"k": 2, "gamma": 0.3,
+                                      "detector": "mrc"}),
+                 "needs 'm'", id="missing-integer"),
+    pytest.param("sweep", {"normalized": _NORM, "sweep": {}}, "'r_values'",
+                 id="missing-r-values"),
+    pytest.param("sweep", _sweep(r_values=[]), "'sweep.r_values'",
+                 id="empty-r-values"),
+    pytest.param("sweep", _sweep(r_values=4.0), "'sweep.r_values'",
+                 id="scalar-r-values"),
+    pytest.param("sweep", _sweep(r_values=[4.0, "8"]), "'sweep.r_values'",
+                 id="string-in-r-values"),
+    pytest.param("optimize", {"normalized": _NORM,
+                              "optimize": {"R": 4.0, "detectors": ["mmse"]}},
+                 "'optimize.detectors'", id="unknown-detector"),
+    pytest.param("validate", _points({**_POINT, "detector": 1}),
+                 "'montecarlo.points[0].detector'", id="number-detector"),
+    pytest.param("sweep", _sweep(detectors=[]), "'sweep.detectors'",
+                 id="empty-detectors"),
+    pytest.param("sweep", _sweep(detectors="mrc"), "'sweep.detectors'",
+                 id="string-detectors"),
+    pytest.param("sweep", {**_sweep(), "physical": {}}, "'physical'",
+                 id="both-profiles"),
+    pytest.param("sweep", {"sweep": {"r_values": [4.0]}}, "'normalized'",
+                 id="no-profile"),
+    pytest.param("sweep", _sweep(outputs="exact"), "'sweep.outputs'",
+                 id="string-outputs"),
+    pytest.param("sweep", _sweep(outputs=[]), "'sweep.outputs'",
+                 id="empty-outputs"),
+    pytest.param("sweep", _sweep(outputs=["exact", 1]), "'sweep.outputs'",
+                 id="number-in-outputs"),
+    pytest.param("sweep", _sweep(outputs=["bogus"]), "unknown outputs",
+                 id="unknown-output"),
+    pytest.param("sweep", _sweep(trajectory_c="1"), "'sweep.trajectory_c'",
+                 id="string-trajectory-c"),
+    pytest.param("trajectory",
+                 {"normalized": _NORM,
+                  "trajectory": {"c": 2.0, "r_values": [10.0, math.inf]}},
+                 "'trajectory.r_values'", id="infinite-trajectory-rate"),
+    pytest.param("validate", {"montecarlo": {"points": {}}},
+                 "'montecarlo.points'", id="object-points"),
+    pytest.param("validate", _points(), "'montecarlo.points'",
+                 id="empty-points"),
+    pytest.param("validate", _points(_POINT, 3), "'montecarlo.points[1]'",
+                 id="number-point"),
+    pytest.param("validate", _points({**_POINT, "bogus": 1}), "bogus",
+                 id="unknown-point-key"),
+    pytest.param("validate", _points({"m": 8, "k": 2, "gamma": 0.3}),
+                 "needs 'detector'", id="point-without-detector"),
+    pytest.param("validate", _points({**_POINT, "gamma": -1.0}),
+                 "montecarlo.points[0]: gamma", id="point-refused"),
+]
 
 
 def _run(capsys, *argv):
@@ -437,6 +581,39 @@ class TestCli:
             "normalized": {"alpha": 2.0, "rho_r": 1, "rho_d": 1, "rho_s": 1}}))
         rc, _, err = _run(capsys, "validate", "--config", str(no_section))
         assert rc == 2 and "montecarlo" in err
+
+    @pytest.mark.parametrize("cmd,config,key", _REFUSALS)
+    def test_config_refusal_exits_2(self, capsys, tmp_path, cmd, config,
+                                    key):
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
+        rc, out, err = _run(capsys, cmd, "--config", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_k_max_that_is_no_integer_is_a_usage_error(self, capsys,
+                                                       config_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", config_path, "--k-max", "abc"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: mimo-ee optimize")
+        assert "argument --k-max: not an integer: 'abc'" in captured.err
+
+    def test_sweep_reads_trajectory_c(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_sweep(
+            r_values=[4.0, 8.0], outputs=["exact", "trajectory"],
+            trajectory_c=2.0)))
+        rc, out, err = _run(capsys, "sweep", "--config", str(path))
+        assert (rc, err) == (0, "")
+        spec = TrajectorySpec(c=2.0, profile=_profile())
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["zeta_trajectory"] for row in rows] == [
+            repr(trajectory_zeta(spec, 4.0)), "",
+            repr(trajectory_zeta(spec, 8.0)), ""]
 
     def test_numeric_failure_exits_3_but_emits_table(self, capsys,
                                                      config_path, tmp_path):
