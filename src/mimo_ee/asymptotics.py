@@ -11,6 +11,7 @@ valid beyond explicit rate thresholds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -18,7 +19,7 @@ from typing import Callable
 from .efficiency import evaluate_efficiency
 from .link import AntennaConfig, Detector, _exp2m1
 from .relaxation import minimize_relaxed, optimal_m
-from .units import PowerProfile, SystemParams
+from .units import PowerProfile, SystemParams, _refuse, _require_number
 
 _CONSISTENCY_REL_TOL = 1e-9
 
@@ -31,8 +32,7 @@ class TrajectorySpec:
     profile: PowerProfile    # rate-independent power parameters
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        _require_number("c", self.c, 0)
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
     beyond 1e-9 means the two code paths have drifted apart and raises
     RuntimeError rather than returning either number.
     """
-    if not (math.isfinite(R) and R > spec.c):
-        raise ValueError(
-            f"R must be finite and exceed the per-user rate c={spec.c}, got {R!r}")
+    if isinstance(R, bool) or not spec.c < R <= sys.float_info.max:
+        _refuse("R", f"finite and exceed the per-user rate c={spec.c}", R)
     theta = spec.profile.at_rate(R)
     k = R / spec.c
     m = optimal_m(theta, k, Detector.MRC)

@@ -26,7 +26,7 @@ from .report import (_ROW_ERRORS, ERROR_COLUMN, SweepSpec, THRESHOLD_COLUMNS,
                      TRAJECTORY_COLUMNS, VALIDATION_COLUMNS, render_csv,
                      render_json, sweep_columns, sweep_records,
                      threshold_record, trajectory_records, validation_records)
-from .units import PhysicalParams, PowerProfile, normalize
+from .units import PhysicalParams, PowerProfile, _require_count, normalize
 
 _PHYSICAL_KEYS = ("bandwidth_hz", "noise_psd", "path_gain", "pa_slope",
                   "p_r", "p_t", "p_dec", "p_s")
@@ -206,9 +206,8 @@ def _cmd_trajectory(cfg: dict, args: argparse.Namespace):
     sec = _section(cfg, "trajectory", {"c", "r_values"}, required=True)
     spec = TrajectorySpec(c=_num(sec, "c", "trajectory"), profile=profile)
     rates = _num_list(sec, "r_values", "trajectory")
-    for rate in rates:
-        if not math.isfinite(rate):
-            raise ConfigError("'trajectory.r_values' must be finite")
+    if not all(map(math.isfinite, rates)):
+        raise ConfigError("'trajectory.r_values' must be finite")
     return lambda: trajectory_records(spec, rates), TRAJECTORY_COLUMNS
 
 
@@ -242,6 +241,7 @@ def _cmd_validate(cfg: dict, args: argparse.Namespace):
                 seed=_int(point, "seed", ctx, default_seed)))
         except ValueError as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
+    _require_count("threads", args.threads)   # as the run would, but exit 2
     return (lambda: validation_records(configs, threads=args.threads),
             VALIDATION_COLUMNS)
 

@@ -34,7 +34,7 @@ from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
 from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
                    _exp2m1, _headroom, _interference)
 from .relaxation import _require_inputs
-from .units import SystemParams
+from .units import SystemParams, _require_count
 
 # hard stop for searches without k_max; the tail bound normally fires
 # long before it, and reaching it is reported as an error
@@ -176,15 +176,6 @@ def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
              + (ks * theta.rho_d + charge)) * (1.0 - 1e-12))
 
 
-def _require_k_max(k_max: int | None) -> None:
-    if k_max is not None and (isinstance(k_max, bool)
-                              or not isinstance(k_max, int) or k_max < 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    if k_max is not None and k_max > sys.float_info.max:  # relaxed as a double
-        raise ValueError("k_max must be an integer >= 1 within double range, "
-                         "got one past it")
-
-
 def _first_block(k_lo: int, k_relaxed: float | None, det: Detector) -> int:
     """Size of the scan's first block, which starts at K = k_lo."""
     if k_relaxed is None or not math.isfinite(k_relaxed):
@@ -211,10 +202,11 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     for every value, nan and inf included. Without it the block holds 512 K.
     """
     _require_inputs(theta)
-    if k_max is None and theta.rho_d <= 0:
+    if k_max is not None:   # within double range, as the relaxation takes it
+        _require_count("k_max", k_max)
+    elif theta.rho_d <= 0:
         raise ValueError(
             "optimum may lie at K -> inf: supply k_max or a positive rho_d")
-    _require_k_max(k_max)
 
     k_ceiling = k_max if k_max is not None else _K_CEILING
     power_star, k_star, m_star = math.inf, 0, 0

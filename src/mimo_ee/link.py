@@ -20,6 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .units import _require_number
+
 # 2**x overflows IEEE double at x >= 1024
 _EXP2_OVERFLOW = 1024.0
 
@@ -60,10 +62,8 @@ class AntennaConfig:
     relaxed: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("M", "K"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (math.isfinite(v) and v >= 1):
-                raise ValueError(f"{name} must be finite and >= 1, got {v!r}")
+        for name, v in (("M", self.M), ("K", self.K)):
+            _require_number(name, v, 1, strict=False)
             if not self.relaxed and v != int(v):
                 raise ValueError(f"{name} must be an integer in exact mode, got {v!r}")
             object.__setattr__(self, name, float(v))
@@ -85,12 +85,16 @@ def _headroom(m, k, interference, det: Detector):
     return m - 1.0 - interference
 
 
+def _rate_headroom(cfg: AntennaConfig, rate: float, det: Detector):
+    """(2^(R/K) - 1, SNR denominator) of a validated rate; feasible iff > 0."""
+    _require_number("rate", rate, 0)
+    e = _exp2m1(rate / cfg.K)
+    return e, _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det)
+
+
 def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
     """Whether (M, K) can deliver sum rate `rate` with finite transmit power."""
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
-    e = _exp2m1(rate / cfg.K)
-    return _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det) > 0.0
+    return _rate_headroom(cfg, rate, det)[1] > 0.0
 
 
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
@@ -99,12 +103,12 @@ def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
     Raises InfeasibleError when the configuration cannot reach the rate,
     and where the required power overflows double range or rounds to 0.
     """
-    if not is_feasible(cfg, rate, det):
+    e, headroom = _rate_headroom(cfg, rate, det)
+    if not headroom > 0.0:
         raise InfeasibleError(
             f"rate {rate} unachievable at any transmit power "
             f"for M={cfg.M}, K={cfg.K} with {det.value}")
-    e = _exp2m1(rate / cfg.K)
-    gamma = e / _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det)
+    gamma = e / headroom
     if gamma == 0.0:   # 2^(R/K) rounds to 1, or e / headroom underflows
         raise InfeasibleError(
             f"required transmit power rounds to 0 "
@@ -118,8 +122,7 @@ def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
 
 def rate_achieved(cfg: AntennaConfig, gamma: float, det: Detector) -> float:
     """Sum spectral efficiency delivered at transmit SNR `gamma`."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+    _require_number("gamma", gamma, 0)
     if det is Detector.ZF:
         if cfg.M <= cfg.K:
             raise ValueError(f"ZF needs M > K, got M={cfg.M}, K={cfg.K}")

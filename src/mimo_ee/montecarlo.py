@@ -55,6 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .link import AntennaConfig, Detector, rate_achieved
+from .units import _require_count, _require_number
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
 _CHUNK_BYTES = 1 << 19  # (k, k) complex matrices per chunk; its buffers stay in L2
@@ -82,15 +83,11 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name in ("m", "k", "trials"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            _require_count(name, getattr(self, name))
         if self.detector is Detector.ZF and self.m <= self.k:
             raise ValueError(
                 f"ZF needs m > k for an invertible bound, got m={self.m}, k={self.k}")
-        if isinstance(self.gamma, bool) or not (
-                math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
+        _require_number("gamma", self.gamma, 0)
         if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
                 or not 0 <= self.seed < _SEED_BOUND):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -220,8 +217,7 @@ def bound_gap_sweep(configs: Iterable[McConfig], *,
     (gamma, detector) combination. Results are bit-identical to sweeping
     each config alone, and come back in input order.
     """
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _require_count("threads", threads)
     config_list = list(configs)
     if not config_list:
         raise ValueError("config family must be nonempty")

@@ -19,14 +19,13 @@ over [1, k_cap] returns instead. The grid finds k = 1 because it starts there.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .link import (Detector, InfeasibleError, _exp2m1, _headroom,
                    _interference)
-from .units import SystemParams
+from .units import SystemParams, _require_number
 
 _GRID_POINTS = 4096
 _ZOOM_POINTS = 1024
@@ -57,8 +56,7 @@ def _require_inputs(theta: SystemParams, k: float = 1.0) -> None:
     if theta.rho_r <= 0:
         raise ValueError(
             "rho_r must be > 0: with free BS antennas the optimal M is unbounded")
-    if not (math.isfinite(k) and k >= 1):
-        raise ValueError(f"k must be finite and >= 1, got {k!r}")
+    _require_number("k", k, 1, strict=False)
 
 
 def _objective_grid(k: np.ndarray, theta: SystemParams,
@@ -128,8 +126,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             raise ValueError("k cap incumbent/rho_d overflows: supply k_max")
         k_cap = max(k_seed, float(math.ceil(k_cap)))
     else:
-        if isinstance(k_max, bool) or not 1 <= k_max <= sys.float_info.max:
-            raise ValueError(f"k_max must be finite and >= 1, got {k_max!r}")
+        _require_number("k_max", k_max, 1, strict=False)
         k_cap = float(k_max)
 
     with np.errstate(over="ignore", invalid="ignore"):

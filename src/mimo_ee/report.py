@@ -12,17 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .asymptotics import TrajectorySpec, trajectory_limit, trajectory_point, \
     thresholds as rate_thresholds, mrc_upper_bound_check, trajectory_zeta
-from .integer_opt import _require_k_max, optimize_exact
+from .integer_opt import optimize_exact
 from .link import Detector
 from .montecarlo import McConfig, bound_gap_sweep
 from .relaxation import RelaxedOptimum, minimize_relaxed
-from .units import PowerProfile, SystemParams
+from .units import PowerProfile, SystemParams, _require_count, _require_number
 
 SWEEP_OUTPUTS = ("exact", "relaxed", "trajectory", "pa_fraction", "comparison")
 
@@ -64,10 +64,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
-        for a, b in zip(self.r_values, self.r_values[1:]):
-            if not a < b:
-                raise ValueError("r_values must be strictly increasing")
-        if not (self.r_values[0] > 0 and math.isfinite(self.r_values[-1])):
+        if not all(a < b for a, b in zip(self.r_values, self.r_values[1:])):
+            raise ValueError("r_values must be strictly increasing")
+        if not (self.r_values[0] > 0 and self.r_values[-1] <= sys.float_info.max):
             raise ValueError("r_values must be positive and finite")
         if not self.detectors:
             raise ValueError("at least one detector must be selected")
@@ -82,11 +81,10 @@ class SweepSpec:
         if "trajectory" in self.outputs and self.trajectory_c is None:
             raise ValueError(
                 "trajectory output needs trajectory_c, the per-user rate")
-        if self.trajectory_c is not None and not (
-                math.isfinite(self.trajectory_c) and self.trajectory_c > 0):
-            raise ValueError(
-                f"trajectory_c must be finite and > 0, got {self.trajectory_c!r}")
-        _require_k_max(self.k_max)
+        if self.trajectory_c is not None:
+            _require_number("trajectory_c", self.trajectory_c, 0)
+        if self.k_max is not None:
+            _require_count("k_max", self.k_max)
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:

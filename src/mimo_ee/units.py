@@ -2,30 +2,47 @@
 normalized quantities that drive the optimizer.
 
 All inputs are linear units (Watts, Hz, unitless gains), never dB.
+
+`_require_number` and `_require_count` are the package's one input rule: they
+refuse bools, nan, infinities and ints past double range with ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+def _refuse(name: str, rule: str, value: object) -> None:
+    """Raise that `name` must be `rule`, printing no int past double range."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be {rule} within double range, "
+                         "got one past it")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def _require_number(name: str, value: float, low: float, *,
+                    strict: bool = True) -> None:
+    """A real within double range above low, or at it when not strict."""
+    if isinstance(value, bool) or not (   # an int is compared exactly
+            -sys.float_info.max <= value <= sys.float_info.max
+            and (value > low if strict else value >= low)):
+        _refuse(name, f"finite and {'>' if strict else '>='} {low}", value)
+
+
+def _require_count(name: str, value: int) -> None:
+    """An int, not a bool, from 1 up to the largest double."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= sys.float_info.max):
+        _refuse(name, "an integer >= 1", value)
 
 
 def _require_profile(p: "PowerProfile | SystemParams") -> None:
     """The PA slope and circuit-power checks both parameter types share."""
-    if not (math.isfinite(p.alpha) and p.alpha > 1):
-        raise ValueError(f"alpha must be finite and > 1, got {p.alpha!r}")
+    _require_number("alpha", p.alpha, 1)
     for name in ("rho_r", "rho_d", "rho_s"):
-        _require_nonnegative(name, getattr(p, name))
+        _require_number(name, getattr(p, name), 0, strict=False)
 
 
 @dataclass(frozen=True)
@@ -42,13 +59,11 @@ class PhysicalParams:
     p_s: float           # residual site power independent of M and K, W
 
     def __post_init__(self) -> None:
-        _require_positive("bandwidth_hz", self.bandwidth_hz)
-        _require_positive("noise_psd", self.noise_psd)
-        _require_positive("path_gain", self.path_gain)
-        if not (math.isfinite(self.pa_slope) and self.pa_slope > 1):
-            raise ValueError(f"pa_slope must be finite and > 1, got {self.pa_slope!r}")
+        for name in ("bandwidth_hz", "noise_psd", "path_gain"):
+            _require_number(name, getattr(self, name), 0)
+        _require_number("pa_slope", self.pa_slope, 1)
         for name in ("p_r", "p_t", "p_dec", "p_s"):
-            _require_nonnegative(name, getattr(self, name))
+            _require_number(name, getattr(self, name), 0, strict=False)
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class SystemParams:
     rho_s: float  # normalized residual power
 
     def __post_init__(self) -> None:
-        _require_positive("R", self.R)
+        _require_number("R", self.R, 0)
         _require_profile(self)
 
 
@@ -101,12 +116,10 @@ def normalize(p: PhysicalParams) -> PowerProfile:
         raise ValueError("noise power noise_psd * bandwidth_hz underflows to 0; "
                          "input ratios exceed double range")
     scale = p.path_gain / noise
-    rho_r = p.p_r * scale
-    rho_d = (p.p_t + p.p_dec) * scale
-    rho_s = p.p_s * scale
-    for name, value in (("rho_r", rho_r), ("rho_d", rho_d), ("rho_s", rho_s)):
+    rhos = {"rho_r": p.p_r * scale, "rho_d": (p.p_t + p.p_dec) * scale,
+            "rho_s": p.p_s * scale}
+    for name, value in rhos.items():
         if not math.isfinite(value):
             raise ValueError(f"normalized {name} is not finite; "
                              "input ratios exceed double range")
-    return PowerProfile(alpha=p.pa_slope, rho_r=rho_r, rho_d=rho_d,
-                        rho_s=rho_s)
+    return PowerProfile(alpha=p.pa_slope, **rhos)

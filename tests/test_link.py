@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mimo_ee.link as link
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError, _exp2m1,
                           gamma_required, is_feasible, rate_achieved)
 
@@ -30,9 +32,15 @@ class TestAntennaConfig:
         cfg = AntennaConfig(M=2.5, K=1.25, relaxed=True)
         assert (cfg.M, cfg.K) == (2.5, 1.25)
 
-    @pytest.mark.parametrize("m,k", [(0, 1), (1, 0), (math.inf, 1), (2, math.nan)])
+    @pytest.mark.parametrize("m,k", [
+        (0, 1), (1, 0), (math.inf, 1), (2, math.nan),
+        # an int with no double is refused as a ValueError, not an
+        # OverflowError; the message does not print it
+        pytest.param(10 ** 400, 1, id="10**400-1"),
+        pytest.param(2, int(sys.float_info.max) + 1, id="2-largest_double+1"),
+    ])
     def test_counts_below_one_or_nonfinite_rejected(self, m, k):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="[MK] must be finite and >= 1"):
             AntennaConfig(M=m, K=k, relaxed=True)
 
     @pytest.mark.parametrize("relaxed", [False, True])
@@ -64,6 +72,10 @@ class TestFeasibility:
             is_feasible(AntennaConfig(M=2, K=1), 0.0, MRC)
         with pytest.raises(ValueError):
             is_feasible(AntennaConfig(M=2, K=1), math.inf, MRC)
+        for rate in (True, 10 ** 400, int(sys.float_info.max) + 1):
+            for call in (is_feasible, gamma_required):
+                with pytest.raises(ValueError, match="rate must be finite"):
+                    call(AntennaConfig(M=2, K=1), rate, MRC)
 
 
 class TestGammaRequired:
@@ -97,6 +109,14 @@ class TestGammaRequired:
         assert is_feasible(cfg, rate, det)
         with pytest.raises(InfeasibleError, match="rounds to 0"):
             gamma_required(cfg, rate, det)
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_two_to_the_rate_is_formed_once(self, monkeypatch, det):
+        calls = []
+        monkeypatch.setattr(link, "_exp2m1",
+                            lambda x: calls.append(x) or _exp2m1(x))
+        assert gamma_required(AntennaConfig(M=8, K=2), 4.0, det) > 0
+        assert calls == [2.0]
 
     def test_gamma_decreases_with_antennas(self):
         # K=4 at two bits per user needs M - 1 > 3 * 3, so M >= 11
@@ -147,6 +167,9 @@ class TestRateAchieved:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             rate_achieved(AntennaConfig(M=2, K=1), 0.0, MRC)
+        for gamma in (True, 10 ** 400, int(sys.float_info.max) + 1):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                rate_achieved(AntennaConfig(M=2, K=1), gamma, MRC)
 
     @settings(max_examples=200)
     @given(det=st.sampled_from([MRC, ZF]), k=st.integers(1, 40),

@@ -437,6 +437,11 @@ _REFUSALS = [
                  "needs 'detector'", id="point-without-detector"),
     pytest.param("validate", _points({**_POINT, "gamma": -1.0}),
                  "montecarlo.points[0]: gamma", id="point-refused"),
+    # a count with no double (401 digits) is a config error
+    pytest.param("validate", _points({**_POINT, "m": 10 ** 400}),
+                 "montecarlo.points[0]: m", id="point-m-without-a-double"),
+    pytest.param("validate", _points({**_POINT, "k": 10 ** 400}),
+                 "montecarlo.points[0]: k", id="point-k-without-a-double"),
 ]
 
 
@@ -714,6 +719,19 @@ class TestCli:
         assert out == ""
         assert err == ("error: config: k_max must be an integer >= 1 within "
                        "double range, got one past it\n")
+
+    def test_threads_without_a_double_exit_2(self, capsys, tmp_path):
+        # the worker count is a count like a point's m; subcommands that
+        # ignore it still run
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({**_points(_POINT), **_sweep()}))
+        threads = ("--threads", "1" + "0" * 400)
+        rc, out, err = _run(capsys, "validate", "--config", str(path), *threads)
+        assert (rc, out) == (2, "")
+        assert err == ("error: config: threads must be an integer >= 1 within "
+                       "double range, got one past it\n")
+        rc, _, err = _run(capsys, "sweep", "--config", str(path), *threads)
+        assert (rc, err) == (0, "")
 
     def test_thresholds_past_double_range_are_strict_json(self, capsys,
                                                           tmp_path):

@@ -1,10 +1,14 @@
 """Physical-to-normalized conversion and its failure modes."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mimo_ee import (Detector, McConfig, SweepSpec, TrajectorySpec,
+                     bound_gap_sweep, optimal_m, reduced_power,
+                     trajectory_point)
 from mimo_ee.units import PhysicalParams, PowerProfile, SystemParams, normalize
 
 
@@ -55,9 +59,16 @@ class TestValidation:
         ("noise_psd", 0.0), ("path_gain", math.inf),
         ("pa_slope", 1.0), ("pa_slope", 0.9),
         ("p_r", -0.1), ("p_s", math.nan),
+        # a bool is no number, and an int with no double is refused as a
+        # ValueError, not an OverflowError
+        ("bandwidth_hz", True), ("p_r", True),
+        pytest.param("noise_psd", 10 ** 400, id="noise_psd-10**400"),
+        pytest.param("pa_slope", 10 ** 400, id="pa_slope-10**400"),
+        pytest.param("p_t", int(sys.float_info.max) + 1,
+                     id="p_t-largest_double+1"),
     ])
     def test_bad_physical_field(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             _params(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
@@ -65,6 +76,12 @@ class TestValidation:
         dict(R=1.0, alpha=1.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
         dict(R=1.0, alpha=2.0, rho_r=-1.0, rho_d=1.0, rho_s=1.0),
         dict(R=math.inf, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+        dict(R=True, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+        dict(R=1.0, alpha=2.0, rho_r=1.0, rho_d=True, rho_s=1.0),
+        dict(R=10 ** 400, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+        dict(R=1.0, alpha=10 ** 400, rho_r=1.0, rho_d=1.0, rho_s=1.0),
+        dict(R=1.0, alpha=2.0, rho_r=1.0, rho_d=1.0,
+             rho_s=int(sys.float_info.max) + 1),
     ])
     def test_bad_system_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -82,3 +99,45 @@ class TestProfile:
         assert (a.alpha, a.rho_r, a.rho_d, a.rho_s) == \
             (b.alpha, b.rho_r, b.rho_d, b.rho_s)
         assert (a.R, b.R) == (1.0, 100.0)
+
+
+_PROFILE = PowerProfile(alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0)
+_POINT = dict(m=4, k=2, gamma=0.5, detector=Detector.MRC, trials=10)
+
+# entry points that take a number, each with the name its refusal gives
+_ENTRY_POINTS = [
+    ("c", lambda v: TrajectorySpec(c=v, profile=_PROFILE)),
+    ("r_values", lambda v: SweepSpec(r_values=(v,), theta_base=_PROFILE)),
+    ("trajectory_c", lambda v: SweepSpec(
+        r_values=(4.0,), theta_base=_PROFILE, trajectory_c=v)),
+    ("R", lambda v: trajectory_point(
+        TrajectorySpec(c=2.0, profile=_PROFILE), v)),
+    ("k", lambda v: optimal_m(_PROFILE.at_rate(8.0), v, Detector.MRC)),
+    ("k", lambda v: reduced_power(v, _PROFILE.at_rate(8.0), Detector.MRC)),
+    ("m", lambda v: McConfig(**{**_POINT, "m": v})),
+    ("k", lambda v: McConfig(**{**_POINT, "k": v})),
+    ("trials", lambda v: McConfig(**{**_POINT, "trials": v})),
+    ("gamma", lambda v: McConfig(**{**_POINT, "gamma": v})),
+    ("threads", lambda v: bound_gap_sweep([McConfig(**_POINT)], threads=v)),
+]
+
+
+class TestOneInputRule:
+    @pytest.mark.parametrize("value", [
+        pytest.param(10 ** 400, id="10**400"),
+        pytest.param(int(sys.float_info.max) + 1, id="largest_double+1")])
+    @pytest.mark.parametrize("name,call", [
+        pytest.param(name, call, id=f"{i}-{name}")
+        for i, (name, call) in enumerate(_ENTRY_POINTS)])
+    def test_int_past_double_range_is_a_value_error(self, name, call, value):
+        # ValueError naming the parameter, not OverflowError, and the
+        # message never prints the integer
+        with pytest.raises(ValueError, match=f"^{name} must be") as exc:
+            call(value)
+        assert str(value)[:20] not in str(exc.value)
+
+    def test_largest_double_as_an_int_is_a_number(self):
+        largest = int(sys.float_info.max)
+        assert SystemParams(R=largest, alpha=2.0, rho_r=0.0, rho_d=0.0,
+                            rho_s=0.0).R == largest
+        assert McConfig(**{**_POINT, "gamma": largest}).gamma == largest
