@@ -23,10 +23,10 @@ from .efficiency import (EfficiencyRangeError, EfficiencyReport,
                          evaluate_efficiency)
 from .integer_opt import Optimum, optimize_exact
 from .link import (AntennaConfig, Detector, InfeasibleError, gamma_required,
-                   is_feasible, rate_achieved)
+                   rate_achieved)
 from .montecarlo import McConfig, McResult, bound_gap_sweep
 from .relaxation import (RelaxedOptimum, SolverDiag, minimize_relaxed,
-                         optimal_m, reduced_power)
+                         optimal_m)
 from .report import (SweepSpec, sweep_records, trajectory_records,
                      validation_records)
 from .units import PhysicalParams, PowerProfile, SystemParams, normalize
@@ -38,10 +38,10 @@ __all__ = [
     "InfeasibleError", "McConfig", "McResult", "Optimum", "PhysicalParams",
     "PowerProfile", "RelaxedOptimum", "SolverDiag", "SweepSpec",
     "SystemParams", "Thresholds", "TrajectoryPoint", "TrajectorySpec",
-    "bound_gap_sweep", "evaluate_efficiency", "gamma_required", "is_feasible",
+    "bound_gap_sweep", "evaluate_efficiency", "gamma_required",
     "minimize_relaxed", "mrc_upper_bound_check",
     "normalize", "optimal_m", "optimize_exact",
-    "rate_achieved", "reduced_power", "sweep_records",
+    "rate_achieved", "sweep_records",
     "thresholds", "trajectory_limit", "trajectory_point",
     "trajectory_records", "trajectory_zeta", "validation_records",
 ]

@@ -2,8 +2,9 @@
 
 Growing the rate target along the trajectory K = R/c with the matching
 closed-form antenna count keeps the per-user spectral efficiency pinned
-at c. The resulting efficiency has a simple closed form in R whose limit
-is finite, which explains the saturation seen in exact-optimizer sweeps.
+at c. Its efficiency is R over the relaxation's reduced MRC power at
+k = R/c, and its limit in R is finite, which explains the saturation seen
+in exact-optimizer sweeps.
 The module also provides the analytic cap on the relaxed MRC efficiency,
 valid beyond explicit rate thresholds.
 """
@@ -16,12 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .efficiency import evaluate_efficiency
-from .link import AntennaConfig, Detector, _exp2m1
-from .relaxation import minimize_relaxed, optimal_m
+from .link import Detector, _exp2m1
+from .relaxation import _reduced_power, minimize_relaxed, optimal_m
 from .units import PowerProfile, SystemParams, _refuse, _require_number
-
-_CONSISTENCY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,35 +50,19 @@ class Thresholds:
 
 
 def trajectory_zeta(spec: TrajectorySpec, R: float) -> float:
-    """Closed-form efficiency of the constant-per-user-rate design at R."""
-    c, p = spec.c, spec.profile
-    e = _exp2m1(c)
-    den = (2.0 * math.sqrt((p.alpha * p.rho_r / R) * e / c)
-           + p.rho_r / R + p.rho_s / R + p.rho_d / c
-           + p.rho_r * (1.0 / c - 1.0 / R) * e)
-    return 1.0 / den
+    """Efficiency of the constant-per-user-rate design at R: R over the
+    relaxed MRC power at k = R/c with the antenna count optimized out."""
+    if isinstance(R, bool) or not spec.c < R <= sys.float_info.max:
+        _refuse("R", f"finite and exceed the per-user rate c={spec.c}", R)
+    return R / _reduced_power(R / spec.c, spec.profile.at_rate(R), Detector.MRC)
 
 
 def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
-    """Design point and efficiency of the scaling family at rate target R.
-
-    The efficiency is computed twice, from the closed form in R and by
-    direct evaluation at the produced (m, k); a relative disagreement
-    beyond 1e-9 means the two code paths have drifted apart and raises
-    RuntimeError rather than returning either number.
-    """
-    if isinstance(R, bool) or not spec.c < R <= sys.float_info.max:
-        _refuse("R", f"finite and exceed the per-user rate c={spec.c}", R)
-    theta = spec.profile.at_rate(R)
-    k = R / spec.c
-    m = optimal_m(theta, k, Detector.MRC)
+    """Design point and efficiency of the scaling family at rate target R."""
     zeta = trajectory_zeta(spec, R)
-    direct = evaluate_efficiency(
-        AntennaConfig(M=m, K=k, relaxed=True), theta, Detector.MRC).zeta
-    if abs(zeta - direct) > _CONSISTENCY_REL_TOL * abs(direct):
-        raise RuntimeError(
-            f"closed-form efficiency {zeta!r} disagrees with direct "
-            f"evaluation {direct!r} at R={R}; internal inconsistency")
+    k = R / spec.c
+    m = optimal_m(spec.profile.at_rate(R), k, Detector.MRC)
+    _require_number("M", m, 1, strict=False)   # alpha k e / rho_r may overflow
     return TrajectoryPoint(R=float(R), k=k, m=m, zeta=zeta)
 
 

@@ -92,11 +92,6 @@ def _rate_headroom(cfg: AntennaConfig, rate: float, det: Detector):
     return e, _headroom(cfg.M, cfg.K, _interference(cfg.K, e, det), det)
 
 
-def is_feasible(cfg: AntennaConfig, rate: float, det: Detector) -> bool:
-    """Whether (M, K) can deliver sum rate `rate` with finite transmit power."""
-    return _rate_headroom(cfg, rate, det)[1] > 0.0
-
-
 def gamma_required(cfg: AntennaConfig, rate: float, det: Detector) -> float:
     """Normalized per-user transmit SNR needed to reach the sum rate.
 

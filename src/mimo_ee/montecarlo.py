@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .link import AntennaConfig, Detector, rate_achieved
-from .units import _require_count, _require_number
+from .units import _refuse, _require_count, _require_number
 
 _SLAB = 4096        # trials per work unit; fixed so threading cannot move boundaries
 _CHUNK_BYTES = 1 << 19  # (k, k) complex matrices per chunk; its buffers stay in L2
@@ -90,7 +90,7 @@ class McConfig:
         _require_number("gamma", self.gamma, 0)
         if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
                 or not 0 <= self.seed < _SEED_BOUND):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            _refuse("seed", "a 64-bit unsigned integer", self.seed)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def _objective_grid(k: np.ndarray, theta: SystemParams,
     return total
 
 
-def reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
+def _reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
     """Total normalized power at user count k with the antenna count optimized out.
 
     Returns +inf where the per-user rate 2^(R/k) overflows; such points are
@@ -121,7 +121,7 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
                 "optimum may lie at k -> inf: supply k_max or a positive rho_d")
         # seed point with per-user rate <= 2 bits/s/Hz, always finite power
         k_seed = max(1.0, theta.R / 2.0)
-        k_cap = reduced_power(k_seed, theta, det) / theta.rho_d
+        k_cap = _reduced_power(k_seed, theta, det) / theta.rho_d
         if not math.isfinite(k_cap):
             raise ValueError("k cap incumbent/rho_d overflows: supply k_max")
         k_cap = max(k_seed, float(math.ceil(k_cap)))

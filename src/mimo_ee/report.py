@@ -43,7 +43,7 @@ THRESHOLD_COLUMNS = ("R", "alpha", "rho_r", "rho_d", "rho_s", "r1", "r2",
                      "bound_holds", ERROR_COLUMN)
 
 # failures that mark a row as unachievable rather than aborting the sweep
-_ROW_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+_ROW_ERRORS = (ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
+        for rate in self.r_values:
+            _require_number("r_values", rate, 0)
         if not all(a < b for a, b in zip(self.r_values, self.r_values[1:])):
             raise ValueError("r_values must be strictly increasing")
-        if not (self.r_values[0] > 0 and self.r_values[-1] <= sys.float_info.max):
-            raise ValueError("r_values must be positive and finite")
         if not self.detectors:
             raise ValueError("at least one detector must be selected")
         if len(set(self.detectors)) != len(self.detectors):
@@ -150,11 +150,10 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
 
         if "trajectory" in spec.outputs and det is Detector.MRC:
             tspec = TrajectorySpec(c=spec.trajectory_c, profile=spec.theta_base)
-            if rate > spec.trajectory_c:
+            try:
                 row[TRAJECTORY_COLUMN] = trajectory_zeta(tspec, rate)
-            else:
-                errors.append("trajectory: R must exceed the per-user rate "
-                              f"{spec.trajectory_c}")
+            except _ROW_ERRORS as exc:
+                errors.append(f"trajectory: {exc}")
 
         if "comparison" in spec.outputs:
             if failed:
@@ -198,15 +197,14 @@ def trajectory_records(spec: TrajectorySpec,
     rows = []
     for rate in rates:
         row: dict[str, object] = {c: None for c in TRAJECTORY_COLUMNS}
-        row["R"] = float(rate)
         row["zeta_limit"] = limit
-        try:
-            point = trajectory_point(spec, float(rate))
-            row["k"] = point.k
-            row["m"] = point.m
-            row["zeta"] = point.zeta
+        try:   # a bool or an int with no double is refused here, naming R
+            point = trajectory_point(spec, rate)
+            row.update(k=point.k, m=point.m, zeta=point.zeta)
         except _ROW_ERRORS as exc:
             row[ERROR_COLUMN] = f"trajectory: {exc}"
+        if not isinstance(rate, bool) and abs(rate) <= sys.float_info.max:
+            row["R"] = float(rate)   # a finite rate's cell, refused or not
         rows.append(row)
     return rows
 

@@ -99,6 +99,7 @@ class PowerProfile:
         _require_profile(self)
 
     def at_rate(self, rate: float) -> SystemParams:
+        _require_number("R", rate, 0)   # before float(), which takes a bool
         return SystemParams(R=float(rate), alpha=self.alpha, rho_r=self.rho_r,
                             rho_d=self.rho_d, rho_s=self.rho_s)
 

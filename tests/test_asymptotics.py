@@ -11,7 +11,7 @@ from mimo_ee.asymptotics import (TrajectorySpec,
                                  trajectory_limit, trajectory_point,
                                  trajectory_zeta)
 from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.link import AntennaConfig, Detector, is_feasible
+from mimo_ee.link import AntennaConfig, Detector, _rate_headroom
 from mimo_ee.relaxation import minimize_relaxed
 from mimo_ee.report import SweepSpec, sweep_records
 from mimo_ee.units import PowerProfile, SystemParams
@@ -34,12 +34,23 @@ class TestTrajectoryPoint:
         assert pt.zeta == pytest.approx(0.4915113492730865, rel=1e-14)
 
     def test_closed_form_equals_direct_evaluation(self):
-        for R in (10.0, 1e3, 1e5):
-            pt = trajectory_point(_CANON, R)
-            theta = _CANON.profile.at_rate(R)
+        # the reduced power and evaluate_efficiency at the produced (m, k)
+        # are two paths to one number, compared on a seeded corpus
+        rng = random.Random(26)
+        for _ in range(300):
+            spec = TrajectorySpec(
+                c=10.0 ** rng.uniform(-1, 1),
+                profile=PowerProfile(
+                    alpha=rng.uniform(1.01, 10.0),
+                    rho_r=10.0 ** rng.uniform(-3, 3),
+                    rho_d=10.0 ** rng.uniform(-3, 3),
+                    rho_s=10.0 ** rng.uniform(-3, 3)))
+            R = spec.c * 10.0 ** rng.uniform(math.log10(1.01), 6)
+            pt = trajectory_point(spec, R)
             direct = evaluate_efficiency(
-                AntennaConfig(M=pt.m, K=pt.k, relaxed=True), theta, MRC).zeta
-            assert pt.zeta == pytest.approx(direct, rel=1e-12)
+                AntennaConfig(M=pt.m, K=pt.k, relaxed=True),
+                spec.profile.at_rate(R), MRC).zeta
+            assert pt.zeta == pytest.approx(direct, rel=1e-12), (spec, R)
 
     def test_per_user_rate_is_pinned(self):
         for R in (1e3, 1e5):
@@ -50,7 +61,7 @@ class TestTrajectoryPoint:
         for R in (10.0, 1e4):
             pt = trajectory_point(_CANON, R)
             cfg = AntennaConfig(M=pt.m, K=pt.k, relaxed=True)
-            assert is_feasible(cfg, R, MRC)
+            assert _rate_headroom(cfg, R, MRC)[1] > 0.0
 
     def test_never_beats_the_relaxed_optimum(self):
         for R in (10.0, 100.0, 1e4):
@@ -63,6 +74,34 @@ class TestTrajectoryPoint:
             trajectory_point(_CANON, 2.0)
         with pytest.raises(ValueError, match="exceed"):
             trajectory_point(_CANON, 1.5)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 0.0, True, 10 ** 400])
+    def test_zeta_refuses_rates_at_most_c(self, R):
+        spec = TrajectorySpec(c=1.0, profile=_profile())
+        with pytest.raises(ValueError, match="^R must be finite and exceed"):
+            trajectory_zeta(spec, R)
+
+    def test_overflowing_antenna_count_is_refused(self):
+        # alpha k (2^c - 1) / rho_r leaves double range; zeta stays finite
+        spec = TrajectorySpec(c=2.0, profile=_profile(alpha=1e300,
+                                                      rho_r=1e-300))
+        assert 0.0 < trajectory_zeta(spec, 1e10) < math.inf
+        with pytest.raises(ValueError, match="^M must be finite"):
+            trajectory_point(spec, 1e10)
+
+    def test_tiny_per_user_rate_against_mpmath(self):
+        # pow(2, c) - 1 cancels at so small a c; expm1(c ln2) does not
+        import mpmath
+
+        spec = TrajectorySpec(c=1e-9, profile=_profile())
+        R = 1e-6
+        with mpmath.workdps(50):
+            p, c, r = spec.profile, mpmath.mpf(spec.c), mpmath.mpf(R)
+            k, e = r / c, mpmath.expm1(c * mpmath.log(2))
+            power = (2 * mpmath.sqrt(p.alpha * p.rho_r * k * e) + p.rho_r
+                     + p.rho_s + k * p.rho_d + p.rho_r * (k - 1) * e)
+            want = r / power
+        assert abs(trajectory_zeta(spec, R) - float(want)) <= 1e-15 * want
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="c must be"):

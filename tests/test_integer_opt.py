@@ -12,7 +12,7 @@ from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
 from mimo_ee.integer_opt import (_FIRST_BLOCK, _LAST_BLOCK, Optimum,
                                  _block_powers, _first_block, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
-                          is_feasible)
+                          _rate_headroom)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
 from mimo_ee.report import SweepSpec, sweep_records
 from mimo_ee.units import PowerProfile, SystemParams
@@ -277,8 +277,8 @@ class TestErrors:
         # infeasible boundary; costly antennas push the search onto it
         theta = _theta(R=12.0, rho_r=1e6)
         assert _kernel_at(3, theta, MRC)[1] == 32
-        assert not is_feasible(AntennaConfig(M=31, K=3), 12.0, MRC)
-        assert is_feasible(AntennaConfig(M=32, K=3), 12.0, MRC)
+        assert _rate_headroom(AntennaConfig(M=31, K=3), 12.0, MRC)[1] == 0.0
+        assert _rate_headroom(AntennaConfig(M=32, K=3), 12.0, MRC)[1] > 0.0
         assert _kernel_at(3, theta, ZF)[1] == 4
 
 

@@ -10,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import mimo_ee.link as link
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError, _exp2m1,
-                          gamma_required, is_feasible, rate_achieved)
+                          _rate_headroom, gamma_required, rate_achieved)
 
 MRC, ZF = Detector.MRC, Detector.ZF
+
+
+def _feasible(cfg, rate, det):
+    """Whether (M, K) reaches the sum rate with finite transmit power."""
+    return _rate_headroom(cfg, rate, det)[1] > 0.0
 
 
 class TestAntennaConfig:
@@ -53,27 +58,27 @@ class TestAntennaConfig:
 
 class TestFeasibility:
     def test_single_user_boundary_term_vanishes(self):
-        assert is_feasible(AntennaConfig(M=2, K=1), 4.0, MRC)
+        assert _feasible(AntennaConfig(M=2, K=1), 4.0, MRC)
 
     def test_equality_boundary_is_infeasible(self):
         # M-1 = 3 equals (K-1)(2^{R/K}-1) = 3: infinite power, excluded
-        assert not is_feasible(AntennaConfig(M=4, K=2), 4.0, MRC)
-        assert is_feasible(AntennaConfig(M=5, K=2), 4.0, MRC)
+        assert not _feasible(AntennaConfig(M=4, K=2), 4.0, MRC)
+        assert _feasible(AntennaConfig(M=5, K=2), 4.0, MRC)
 
     def test_zf_needs_strictly_more_antennas_than_users(self):
-        assert is_feasible(AntennaConfig(M=3, K=2), 4.0, ZF)
-        assert not is_feasible(AntennaConfig(M=2, K=2), 4.0, ZF)
+        assert _feasible(AntennaConfig(M=3, K=2), 4.0, ZF)
+        assert not _feasible(AntennaConfig(M=2, K=2), 4.0, ZF)
 
     def test_single_user_feasible_even_when_exponent_overflows(self):
-        assert is_feasible(AntennaConfig(M=2, K=1), 5000.0, MRC)
+        assert _feasible(AntennaConfig(M=2, K=1), 5000.0, MRC)
 
     def test_rate_must_be_positive_finite(self):
         with pytest.raises(ValueError):
-            is_feasible(AntennaConfig(M=2, K=1), 0.0, MRC)
+            _feasible(AntennaConfig(M=2, K=1), 0.0, MRC)
         with pytest.raises(ValueError):
-            is_feasible(AntennaConfig(M=2, K=1), math.inf, MRC)
+            _feasible(AntennaConfig(M=2, K=1), math.inf, MRC)
         for rate in (True, 10 ** 400, int(sys.float_info.max) + 1):
-            for call in (is_feasible, gamma_required):
+            for call in (_rate_headroom, gamma_required):
                 with pytest.raises(ValueError, match="rate must be finite"):
                     call(AntennaConfig(M=2, K=1), rate, MRC)
 
@@ -106,7 +111,7 @@ class TestGammaRequired:
     def test_power_that_rounds_to_zero_is_named(self, m, k, rate, det):
         # 2^(R/K) rounds to 1, or e / (M - 1 - I) underflows: gamma is 0
         cfg = AntennaConfig(M=m, K=k)
-        assert is_feasible(cfg, rate, det)
+        assert _feasible(cfg, rate, det)
         with pytest.raises(InfeasibleError, match="rounds to 0"):
             gamma_required(cfg, rate, det)
 

@@ -11,9 +11,10 @@ from scipy import optimize
 
 from mimo_ee import relaxation
 from mimo_ee.efficiency import evaluate_efficiency
-from mimo_ee.link import AntennaConfig, Detector, InfeasibleError, is_feasible
-from mimo_ee.relaxation import (_objective_grid, minimize_relaxed, optimal_m,
-                                reduced_power)
+from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
+                          _rate_headroom)
+from mimo_ee.relaxation import (_objective_grid, _reduced_power,
+                                minimize_relaxed, optimal_m)
 from mimo_ee.units import SystemParams
 
 MRC, ZF = Detector.MRC, Detector.ZF
@@ -24,19 +25,19 @@ def _theta(R=4.0, alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0):
 
 
 class TestInnerMinimum:
-    """ZF with rho_d = rho_s = 0: reduced_power is the AM-GM minimum of the
+    """ZF with rho_d = rho_s = 0: _reduced_power is the AM-GM minimum of the
     PA and antenna-surplus terms, 2 sqrt(alpha rho_r k (2^(R/k)-1)), plus
     the k * rho_r the k user-matched antennas draw."""
 
     def test_hand_values(self):
-        assert reduced_power(1.0, _theta(R=2.0, alpha=3.0, rho_d=0.0,
-                                         rho_s=0.0), ZF) == \
+        assert _reduced_power(1.0, _theta(R=2.0, alpha=3.0, rho_d=0.0,
+                                          rho_s=0.0), ZF) == \
             pytest.approx(6.0 + 1.0, rel=1e-15)
-        assert reduced_power(1.0, _theta(R=2.0, alpha=4.0, rho_d=0.0,
-                                         rho_s=0.0), ZF) == \
+        assert _reduced_power(1.0, _theta(R=2.0, alpha=4.0, rho_d=0.0,
+                                          rho_s=0.0), ZF) == \
             pytest.approx(2.0 * math.sqrt(12.0) + 1.0, rel=1e-15)
-        assert reduced_power(2.0, _theta(R=4.0, alpha=2.0, rho_d=0.0,
-                                         rho_s=0.0), ZF) == \
+        assert _reduced_power(2.0, _theta(R=4.0, alpha=2.0, rho_d=0.0,
+                                          rho_s=0.0), ZF) == \
             pytest.approx(2.0 * math.sqrt(12.0) + 2.0, rel=1e-15)
 
     def test_matches_numeric_minimization_over_antenna_surplus(self):
@@ -47,7 +48,7 @@ class TestInnerMinimum:
             lambda t: t * theta.rho_r + theta.alpha * k * e / t,
             bounds=(1e-9, 1e6), method="bounded",
             options={"xatol": 1e-12})
-        assert reduced_power(k, theta, ZF) == \
+        assert _reduced_power(k, theta, ZF) == \
             pytest.approx(res.fun + k * theta.rho_r, rel=1e-9)
 
     @settings(max_examples=100)
@@ -59,7 +60,7 @@ class TestInnerMinimum:
         e = 2.0 ** (rate / k) - 1.0
         two_term = t * rho_r + alpha * k * e / t
         assert two_term + k * rho_r >= \
-            reduced_power(k, theta, ZF) * (1.0 - 1e-12)
+            _reduced_power(k, theta, ZF) * (1.0 - 1e-12)
 
     def test_equality_at_closed_form_surplus(self):
         theta = _theta(R=6.0, alpha=2.0, rho_r=0.3, rho_d=0.0, rho_s=0.0)
@@ -68,11 +69,11 @@ class TestInnerMinimum:
         t_star = math.sqrt(theta.alpha * k * e / theta.rho_r)
         two_term = t_star * theta.rho_r + theta.alpha * k * e / t_star
         assert two_term + k * theta.rho_r == \
-            pytest.approx(reduced_power(k, theta, ZF), rel=1e-12)
+            pytest.approx(_reduced_power(k, theta, ZF), rel=1e-12)
 
     def test_rejects_free_antennas(self):
         with pytest.raises(ValueError, match="rho_r"):
-            reduced_power(1.0, _theta(rho_r=0.0), ZF)
+            _reduced_power(1.0, _theta(rho_r=0.0), ZF)
 
 
 class TestReducedPower:
@@ -80,23 +81,23 @@ class TestReducedPower:
         theta = _theta(R=3.0, alpha=2.0, rho_r=0.5, rho_d=0.7, rho_s=0.9)
         expect = (2.0 * math.sqrt(2.0 * 0.5 * (2.0 ** 3 - 1.0))
                   + 0.5 + 0.9 + 0.7)
-        assert reduced_power(1.0, theta, MRC) == pytest.approx(expect, rel=1e-14)
+        assert _reduced_power(1.0, theta, MRC) == pytest.approx(expect, rel=1e-14)
 
     def test_one_bit_per_user_collapses_exponent(self):
         R = 8.0
         theta = _theta(R=R, alpha=2.0, rho_r=0.5, rho_d=0.7, rho_s=0.9)
         expect = (2.0 * math.sqrt(2.0 * 0.5 * R) + 0.5 + 0.9 + R * 0.7
                   + (R - 1.0) * 0.5)
-        assert reduced_power(R, theta, MRC) == pytest.approx(expect, rel=1e-14)
+        assert _reduced_power(R, theta, MRC) == pytest.approx(expect, rel=1e-14)
 
     def test_two_user_hand_value(self):
-        assert reduced_power(2.0, _theta(), MRC) == \
+        assert _reduced_power(2.0, _theta(), MRC) == \
             pytest.approx(2.0 * math.sqrt(12.0) + 7.0, rel=1e-14)
 
     def test_zf_form(self):
         theta = _theta(R=4.0)
         expect = 2.0 * math.sqrt(2.0 * 1.0 * 2.0 * 3.0) + 2.0 * 2.0 + 1.0
-        assert reduced_power(2.0, theta, ZF) == pytest.approx(expect, rel=1e-14)
+        assert _reduced_power(2.0, theta, ZF) == pytest.approx(expect, rel=1e-14)
 
     def test_summation_order_bit_for_bit(self):
         # each detector keeps its own order of the sum and e = 2^(R/k) - 1
@@ -113,8 +114,8 @@ class TestReducedPower:
             zf = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
             mrc = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
                    + theta.rho_r * ((k - 1.0) * e))
-            assert reduced_power(float(k), theta, ZF) == zf
-            assert reduced_power(float(k), theta, MRC) == mrc
+            assert _reduced_power(float(k), theta, ZF) == zf
+            assert _reduced_power(float(k), theta, MRC) == mrc
 
     @staticmethod
     def _decimal_objective(k, theta, det):
@@ -154,8 +155,8 @@ class TestReducedPower:
                         (per_user, theta, det, float(k))
 
     def test_overflow_maps_to_infinity(self):
-        assert reduced_power(1.0, _theta(R=2000.0), MRC) == math.inf
-        assert reduced_power(1.0, _theta(R=2000.0), ZF) == math.inf
+        assert _reduced_power(1.0, _theta(R=2000.0), MRC) == math.inf
+        assert _reduced_power(1.0, _theta(R=2000.0), ZF) == math.inf
 
     def test_an_underflowed_rate_is_no_nan(self):
         # at k = 1e300, R ln2 / k underflows to 0 and alpha rho_r k
@@ -181,7 +182,7 @@ class TestReducedPower:
         m = optimal_m(theta, k, det)
         rep = evaluate_efficiency(
             AntennaConfig(M=m, K=k, relaxed=True), theta, det)
-        assert reduced_power(k, theta, det) == \
+        assert _reduced_power(k, theta, det) == \
             pytest.approx(rep.total_power, rel=1e-9)
 
 
@@ -229,7 +230,7 @@ class TestOptimalM:
         with pytest.raises(ValueError, match="k must be finite and >= 1"):
             optimal_m(_theta(), k, MRC)
         with pytest.raises(ValueError, match="k must be finite and >= 1"):
-            reduced_power(k, _theta(), MRC)
+            _reduced_power(k, _theta(), MRC)
 
 
 def _dense_oracle(theta, det, k_hi, points=40960):
@@ -245,7 +246,7 @@ def _dense_oracle(theta, det, k_hi, points=40960):
     i = int(np.argmin(vals))
     lo, hi = ks[max(i - 1, 0)], ks[min(i + 1, points - 1)]
     res = optimize.minimize_scalar(
-        lambda k: float(reduced_power(float(k), theta, det)),
+        lambda k: float(_reduced_power(float(k), theta, det)),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return float(res.x), float(theta.R / res.fun)
 
@@ -302,9 +303,9 @@ class TestMinimizeRelaxed:
             out = minimize_relaxed(_theta(R=100.0), det)
             assert out.objective == pytest.approx(100.0 / out.zeta, rel=1e-12)
             assert out.m_star == optimal_m(_theta(R=100.0), out.k_star, det)
-            assert is_feasible(
+            assert _rate_headroom(
                 AntennaConfig(M=out.m_star, K=out.k_star, relaxed=True),
-                100.0, det)
+                100.0, det)[1] > 0.0
             lo, hi = out.solver_diag.bracket
             assert lo <= out.k_star <= hi or out.k_star in (lo, hi)
 
@@ -317,7 +318,7 @@ class TestMinimizeRelaxed:
     def test_k_max_of_one_degenerates_to_single_user(self):
         out = minimize_relaxed(_theta(R=4.0), MRC, k_max=1.0)
         assert out.k_star == 1.0
-        assert out.objective == reduced_power(1.0, _theta(R=4.0), MRC)
+        assert out.objective == _reduced_power(1.0, _theta(R=4.0), MRC)
 
     def test_error_cases(self):
         with pytest.raises(ValueError, match="rho_r"):
@@ -382,14 +383,14 @@ class TestGlobalMinimum:
     def test_boundary_minimum_beats_interior_local_minimum(self):
         out = minimize_relaxed(self.BOUNDARY, MRC)
         assert out.k_star == 1.0
-        assert out.objective == reduced_power(1.0, self.BOUNDARY, MRC)
-        interior = reduced_power(45.06, self.BOUNDARY, MRC)
-        hump = reduced_power(5.5, self.BOUNDARY, MRC)
+        assert out.objective == _reduced_power(1.0, self.BOUNDARY, MRC)
+        interior = _reduced_power(45.06, self.BOUNDARY, MRC)
+        hump = _reduced_power(5.5, self.BOUNDARY, MRC)
         assert interior > out.objective * 1.12
         assert hump > interior
         # 45.06 is a local minimum: its neighbours are higher
-        assert reduced_power(44.0, self.BOUNDARY, MRC) > interior
-        assert reduced_power(46.0, self.BOUNDARY, MRC) > interior
+        assert _reduced_power(44.0, self.BOUNDARY, MRC) > interior
+        assert _reduced_power(46.0, self.BOUNDARY, MRC) > interior
 
     @staticmethod
     def _k_cap(theta, det, k_max):
@@ -399,7 +400,7 @@ class TestGlobalMinimum:
             return float(k_max)
         k_seed = max(1.0, theta.R / 2.0)
         return max(k_seed, math.ceil(
-            reduced_power(k_seed, theta, det) / theta.rho_d))
+            _reduced_power(k_seed, theta, det) / theta.rho_d))
 
     def test_never_worse_than_a_five_times_denser_grid(self):
         rng = np.random.default_rng(2026)
@@ -425,7 +426,7 @@ class TestGlobalMinimum:
                               out.k_star * (1.0 + 1e-7)):
                         if 1.0 <= k <= k_cap:
                             assert out.objective <= \
-                                reduced_power(k, theta, det), \
+                                _reduced_power(k, theta, det), \
                                 (theta, det, k_max, k)
 
 
@@ -438,7 +439,7 @@ class TestGrids:
         objective = relaxation._objective_grid
 
         def recording(k, theta, det):
-            if k.size > 1:   # not reduced_power's incumbent
+            if k.size > 1:   # not _reduced_power's incumbent
                 grids.append(k.copy())
             return objective(k, theta, det)
 

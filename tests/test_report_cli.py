@@ -175,8 +175,10 @@ class TestSweepRecords:
             _spec(r_values=())
         with pytest.raises(ValueError, match="strictly increasing"):
             _spec(r_values=(4.0, 4.0))
-        with pytest.raises(ValueError, match="positive"):
-            _spec(r_values=(0.0, 4.0))
+        for rates in ((0.0, 4.0), (True, 4.0), (1.0, 10 ** 400),
+                      (1.0, math.nan, 4.0)):
+            with pytest.raises(ValueError, match="^r_values must be finite"):
+                _spec(r_values=rates)
         with pytest.raises(ValueError, match="detector"):
             _spec(detectors=())
         with pytest.raises(ValueError, match="distinct"):
@@ -309,6 +311,15 @@ class TestOtherTables:
         assert rows[1]["error"] is None
         assert rows[1]["zeta"] == trajectory_zeta(spec, 10.0)
         assert tuple(rows[0]) == TRAJECTORY_COLUMNS
+
+    def test_trajectory_table_keeps_bad_rates_in_their_row(self):
+        # each refusal stays in its row, with an empty R cell
+        spec = TrajectorySpec(c=0.5, profile=_profile())
+        rows = trajectory_records(spec, [True, 10 ** 400, 4.0])
+        for row in rows[:2]:
+            assert row["error"].startswith("trajectory: R must be finite")
+            assert (row["R"], row["zeta"]) == (None, None)
+        assert rows[2]["zeta"] == trajectory_zeta(spec, 4.0)
 
     def test_threshold_record_states(self):
         ok = threshold_record(SystemParams(R=40.0, alpha=2.0, rho_r=1.0,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mimo_ee import (Detector, McConfig, SweepSpec, TrajectorySpec,
-                     bound_gap_sweep, optimal_m, reduced_power,
-                     trajectory_point)
+                     bound_gap_sweep, optimal_m, trajectory_point)
+from mimo_ee.relaxation import _reduced_power
 from mimo_ee.units import PhysicalParams, PowerProfile, SystemParams, normalize
 
 
@@ -93,6 +93,12 @@ class TestValidation:
 
 
 class TestProfile:
+    def test_at_rate_refuses_a_bool(self):
+        # float(True) is 1.0, so the check must see the rate as given
+        with pytest.raises(ValueError, match="^R must be finite and > 0"):
+            PowerProfile(alpha=2.0, rho_r=1.0, rho_d=2.0,
+                         rho_s=3.0).at_rate(True)
+
     def test_at_rate_only_changes_r(self):
         profile = PowerProfile(alpha=2.0, rho_r=1.0, rho_d=2.0, rho_s=3.0)
         a, b = profile.at_rate(1.0), profile.at_rate(100.0)
@@ -113,12 +119,14 @@ _ENTRY_POINTS = [
     ("R", lambda v: trajectory_point(
         TrajectorySpec(c=2.0, profile=_PROFILE), v)),
     ("k", lambda v: optimal_m(_PROFILE.at_rate(8.0), v, Detector.MRC)),
-    ("k", lambda v: reduced_power(v, _PROFILE.at_rate(8.0), Detector.MRC)),
+    ("k", lambda v: _reduced_power(v, _PROFILE.at_rate(8.0), Detector.MRC)),
     ("m", lambda v: McConfig(**{**_POINT, "m": v})),
     ("k", lambda v: McConfig(**{**_POINT, "k": v})),
     ("trials", lambda v: McConfig(**{**_POINT, "trials": v})),
     ("gamma", lambda v: McConfig(**{**_POINT, "gamma": v})),
     ("threads", lambda v: bound_gap_sweep([McConfig(**_POINT)], threads=v)),
+    ("R", _PROFILE.at_rate),
+    ("seed", lambda v: McConfig(**{**_POINT, "seed": v})),
 ]
 
 
