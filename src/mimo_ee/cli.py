@@ -17,7 +17,7 @@ import math
 import os
 import stat
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .asymptotics import TrajectorySpec
 from .link import Detector
@@ -26,16 +26,8 @@ from .report import (_ROW_ERRORS, ERROR_COLUMN, SweepSpec, THRESHOLD_COLUMNS,
                      TRAJECTORY_COLUMNS, VALIDATION_COLUMNS, render_csv,
                      render_json, sweep_columns, sweep_records,
                      threshold_record, trajectory_records, validation_records)
-from .units import PhysicalParams, PowerProfile, _require_count, normalize
-
-_PHYSICAL_KEYS = ("bandwidth_hz", "noise_psd", "path_gain", "pa_slope",
-                  "p_r", "p_t", "p_dec", "p_s")
-_NORMALIZED_KEYS = ("alpha", "rho_r", "rho_d", "rho_s")
-_TOP_KEYS = {"physical", "normalized", "sweep", "montecarlo", "trajectory",
-             "optimize", "thresholds"}
-
-_MC_DEFAULT_TRIALS = 100_000
-_MC_DEFAULT_SEED = 0
+from .units import (PhysicalParams, PowerProfile, _require_count,
+                    _require_number, normalize)
 
 
 class ConfigError(Exception):
@@ -52,105 +44,122 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("top level of the config must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     return data
 
 
-def _section(cfg: dict, name: str, allowed: set[str], *,
-             required: bool) -> dict | None:
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"config needs a '{name}' section")
-        return None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
-    unknown = set(sec) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in '{name}': {sorted(unknown)}; allowed: {sorted(allowed)}")
-    return sec
+# A reader takes a JSON value and the name it has in the config, such as
+# 'sweep.r_values[1]', and returns the value the handlers use, or raises a
+# ConfigError that names it.
 
-
-def _double(value: int | float, where: str) -> float:
+def _number(value: object, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{where}' must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:    # an integer past double range
         raise ConfigError(f"'{where}' is out of double range: {exc}") from exc
 
 
-def _num(sec: dict, key: str, ctx: str) -> float:
-    if key not in sec:
-        raise ConfigError(f"'{ctx}' needs '{key}'")
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{ctx}.{key}' must be a number, got {value!r}")
-    return _double(value, f"{ctx}.{key}")
-
-
-def _int(sec: dict, key: str, ctx: str, default: int | None = None) -> int:
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"'{ctx}' needs '{key}'")
-        return default
-    value = sec[key]
+def _integer(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{ctx}.{key}' must be an integer, got {value!r}")
+        raise ConfigError(f"'{where}' must be an integer, got {value!r}")
     return value
 
 
-def _num_list(sec: dict, key: str, ctx: str) -> tuple[float, ...]:
-    if key not in sec:
-        raise ConfigError(f"'{ctx}' needs '{key}'")
-    value = sec[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{ctx}.{key}' must be a nonempty array of numbers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(
-                f"'{ctx}.{key}' must contain only numbers, got {item!r}")
-        out.append(_double(item, f"{ctx}.{key}"))
-    return tuple(out)
+def _string(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{where}' must be a string, got {value!r}")
+    return value
 
 
-def _detector(value: object, ctx: str) -> Detector:
+def _detector(value: object, where: str) -> Detector:
     if isinstance(value, str):
         for det in Detector:
             if value.lower() == det.value:
                 return det
     raise ConfigError(
-        f"'{ctx}' must be one of {[d.value for d in Detector]}, got {value!r}")
+        f"'{where}' must be one of {[d.value for d in Detector]}, got {value!r}")
 
 
-def _detector_list(sec: dict, ctx: str) -> tuple[Detector, ...]:
-    value = sec.get("detectors")
-    if value is None:
-        return (Detector.MRC, Detector.ZF)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{ctx}.detectors' must be a nonempty array")
-    return tuple(_detector(item, f"{ctx}.detectors") for item in value)
+def _array(item: Callable) -> Callable:
+    """A reader of a nonempty array whose items `item` reads."""
+    def read(value: object, where: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{where}' must be a nonempty array")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+def _object(**fields) -> Callable:
+    """A reader of a JSON object with no keys but `fields`. A field is a
+    reader, or a (reader, default) pair for a key that may be left out."""
+    fields = {key: (field[0], field[1:]) if isinstance(field, tuple)
+              else (field, ()) for key, field in fields.items()}
+
+    def read(value: object, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{where}' must be a JSON object")
+        unknown = value.keys() - fields
+        if unknown:
+            raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}; "
+                              f"allowed: {sorted(fields)}")
+        out = {}
+        for key, (reader, default) in fields.items():
+            if key in value:
+                out[key] = reader(value[key], f"{where}.{key}")
+            elif default:
+                out[key] = default[0]
+            else:
+                raise ConfigError(f"'{where}' needs '{key}'")
+        return out
+    return read
+
+
+_DETECTORS = (_array(_detector), (Detector.MRC, Detector.ZF))
+
+# every top-level key of a config -> the reader of that section
+_SECTIONS = {
+    "physical": _object(**dict.fromkeys(
+        ("bandwidth_hz", "noise_psd", "path_gain", "pa_slope", "p_r", "p_t",
+         "p_dec", "p_s"), _number)),
+    "normalized": _object(**dict.fromkeys(
+        ("alpha", "rho_r", "rho_d", "rho_s"), _number)),
+    "sweep": _object(r_values=_array(_number), detectors=_DETECTORS,
+                     outputs=(_array(_string), ("exact", "relaxed")),
+                     trajectory_c=(_number, None)),
+    # a point's trials and seed, left out, are the section's
+    "montecarlo": _object(
+        trials=(_integer, 100_000), seed=(_integer, 0),
+        points=_array(_object(m=_integer, k=_integer, gamma=_number,
+                              detector=_detector, trials=(_integer, None),
+                              seed=(_integer, None)))),
+    "trajectory": _object(c=_number, r_values=_array(_number)),
+    "optimize": _object(R=_number, detectors=_DETECTORS),
+    "thresholds": _object(R=_number),
+}
+
+
+def _read(cfg: dict, name: str) -> dict:
+    """Section `name` of the config, read by its reader; null is absent."""
+    if cfg.get(name) is None:
+        raise ConfigError(f"config needs a '{name}' section")
+    return _SECTIONS[name](cfg[name], name)
 
 
 def _profile(cfg: dict) -> PowerProfile:
-    physical = _section(cfg, "physical", set(_PHYSICAL_KEYS), required=False)
-    normalized = _section(cfg, "normalized", set(_NORMALIZED_KEYS),
-                          required=False)
-    if physical is not None and normalized is not None:
+    given = [name for name in ("physical", "normalized")
+             if cfg.get(name) is not None]
+    if len(given) == 2:
         raise ConfigError("'physical' and 'normalized' are mutually exclusive")
-    if physical is None and normalized is None:
+    if not given:
         raise ConfigError(
             "config needs a 'physical' or a 'normalized' section")
-    if normalized is not None:
-        return PowerProfile(
-            alpha=_num(normalized, "alpha", "normalized"),
-            rho_r=_num(normalized, "rho_r", "normalized"),
-            rho_d=_num(normalized, "rho_d", "normalized"),
-            rho_s=_num(normalized, "rho_s", "normalized"))
-    return normalize(PhysicalParams(
-        **{key: _num(physical, key, "physical") for key in _PHYSICAL_KEYS}))
+    if given == ["normalized"]:
+        return PowerProfile(**_read(cfg, "normalized"))
+    return normalize(PhysicalParams(**_read(cfg, "physical")))
 
 
 # Each handler only parses: it returns (compute, columns), where `compute`
@@ -162,27 +171,12 @@ def _profile(cfg: dict) -> PowerProfile:
 def _cmd_sweep(cfg: dict, args: argparse.Namespace,
                outputs: set[str] | None = None):
     profile = _profile(cfg)
-    sec = _section(cfg, "sweep",
-                   {"r_values", "detectors", "outputs", "trajectory_c"},
-                   required=True)
-    if outputs is None:
-        outputs = sec.get("outputs", ["exact", "relaxed"])
-        if not isinstance(outputs, list) or not outputs:
-            raise ConfigError("'sweep.outputs' must be a nonempty array")
-        for item in outputs:
-            if not isinstance(item, str):
-                raise ConfigError(
-                    f"'sweep.outputs' must contain strings, got {item!r}")
-    trajectory_c = None
-    if "trajectory_c" in sec:
-        trajectory_c = _num(sec, "trajectory_c", "sweep")
+    sec = _read(cfg, "sweep")
     spec = SweepSpec(
-        r_values=_num_list(sec, "r_values", "sweep"),
-        theta_base=profile,
-        detectors=_detector_list(sec, "sweep"),
-        outputs=frozenset(outputs),
-        trajectory_c=trajectory_c,
-        k_max=args.k_max)
+        r_values=sec["r_values"], theta_base=profile,
+        detectors=sec["detectors"],
+        outputs=frozenset(sec["outputs"] if outputs is None else outputs),
+        trajectory_c=sec["trajectory_c"], k_max=args.k_max)
     return lambda: sweep_records(spec), sweep_columns(spec)
 
 
@@ -192,10 +186,10 @@ def _cmd_breakdown(cfg: dict, args: argparse.Namespace):
 
 def _cmd_optimize(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
-    sec = _section(cfg, "optimize", {"R", "detectors"}, required=True)
+    sec = _read(cfg, "optimize")
+    _require_number("R", sec["R"], 0)
     spec = SweepSpec(
-        r_values=(_num(sec, "R", "optimize"),), theta_base=profile,
-        detectors=_detector_list(sec, "optimize"),
+        r_values=(sec["R"],), theta_base=profile, detectors=sec["detectors"],
         outputs=frozenset({"exact", "relaxed", "pa_fraction"}),
         k_max=args.k_max)
     return lambda: sweep_records(spec), sweep_columns(spec)
@@ -203,44 +197,26 @@ def _cmd_optimize(cfg: dict, args: argparse.Namespace):
 
 def _cmd_trajectory(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
-    sec = _section(cfg, "trajectory", {"c", "r_values"}, required=True)
-    spec = TrajectorySpec(c=_num(sec, "c", "trajectory"), profile=profile)
-    rates = _num_list(sec, "r_values", "trajectory")
+    sec = _read(cfg, "trajectory")
+    spec = TrajectorySpec(c=sec["c"], profile=profile)
+    rates = sec["r_values"]
     if not all(map(math.isfinite, rates)):
         raise ConfigError("'trajectory.r_values' must be finite")
     return lambda: trajectory_records(spec, rates), TRAJECTORY_COLUMNS
 
 
 def _cmd_validate(cfg: dict, args: argparse.Namespace):
-    sec = _section(cfg, "montecarlo", {"points", "trials", "seed"},
-                   required=True)
-    default_trials = _int(sec, "trials", "montecarlo", _MC_DEFAULT_TRIALS)
-    default_seed = _int(sec, "seed", "montecarlo", _MC_DEFAULT_SEED)
+    sec = _read(cfg, "montecarlo")
     if args.seed is not None:
-        default_seed = args.seed
-    points = sec.get("points")
-    if not isinstance(points, list) or not points:
-        raise ConfigError("'montecarlo.points' must be a nonempty array")
+        sec["seed"] = args.seed
     configs = []
-    for i, point in enumerate(points):
-        ctx = f"montecarlo.points[{i}]"
-        if not isinstance(point, dict):
-            raise ConfigError(f"'{ctx}' must be a JSON object")
-        unknown = set(point) - {"m", "k", "gamma", "detector", "trials", "seed"}
-        if unknown:
-            raise ConfigError(f"unknown keys in '{ctx}': {sorted(unknown)}")
-        if "detector" not in point:
-            raise ConfigError(f"'{ctx}' needs 'detector'")
+    for i, point in enumerate(sec["points"]):
         try:
-            configs.append(McConfig(
-                m=_int(point, "m", ctx),
-                k=_int(point, "k", ctx),
-                gamma=_num(point, "gamma", ctx),
-                detector=_detector(point["detector"], f"{ctx}.detector"),
-                trials=_int(point, "trials", ctx, default_trials),
-                seed=_int(point, "seed", ctx, default_seed)))
+            configs.append(McConfig(**{
+                key: sec[key] if value is None else value
+                for key, value in point.items()}))
         except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+            raise ConfigError(f"montecarlo.points[{i}]: {exc}") from exc
     _require_count("threads", args.threads)   # as the run would, but exit 2
     return (lambda: validation_records(configs, threads=args.threads),
             VALIDATION_COLUMNS)
@@ -248,25 +224,25 @@ def _cmd_validate(cfg: dict, args: argparse.Namespace):
 
 def _cmd_thresholds(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
-    sec = _section(cfg, "thresholds", {"R"}, required=True)
-    theta = profile.at_rate(_num(sec, "R", "thresholds"))
+    theta = profile.at_rate(_read(cfg, "thresholds")["R"])
     return lambda: [threshold_record(theta)], THRESHOLD_COLUMNS
 
 
-# subcommand -> (handler, help), in the order `--help` lists them
+# subcommand -> (handler, help, whether it answers one question, so that a
+# failed row fails the run), in the order `--help` lists them
 _COMMANDS = {
-    "optimize": (_cmd_optimize, "best integer design for one rate target"),
-    "sweep": (_cmd_sweep, "efficiency table across rate targets"),
+    "optimize": (_cmd_optimize, "best integer design for one rate target",
+                 True),
+    "sweep": (_cmd_sweep, "efficiency table across rate targets", False),
     "breakdown": (_cmd_breakdown,
-                  "power budget of the optimum across rate targets"),
-    "trajectory": (_cmd_trajectory, "constant per-user-rate scaling family"),
+                  "power budget of the optimum across rate targets", False),
+    "trajectory": (_cmd_trajectory, "constant per-user-rate scaling family",
+                   False),
     "validate": (_cmd_validate,
-                 "Monte-Carlo check of the closed-form rates"),
+                 "Monte-Carlo check of the closed-form rates", False),
     "thresholds": (_cmd_thresholds,
-                   "rate thresholds for the MRC efficiency cap"),
+                   "rate thresholds for the MRC efficiency cap", True),
 }
-# commands that answer one question: a failed row fails the run
-_ONE_ANSWER = ("optimize", "thresholds")
 
 
 def _int_arg(low: int, high: float, refusal: str):
@@ -309,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Energy-efficiency optimization of a multiuser "
                     "massive-MIMO uplink with MRC or ZF reception.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
+    for name, (_, text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     parser.subcommands = sub.choices    # name -> parser, for _parse_args
     return parser
@@ -345,7 +321,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, _, one_answer = _COMMANDS[args.command]
     rc = 0
     try:
         cfg = _load_config(args.config)
@@ -354,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         records = compute()
-        if args.command in _ONE_ANSWER:
+        if one_answer:
             failures = [row[ERROR_COLUMN] for row in records
                         if row[ERROR_COLUMN]]
             if failures:

@@ -153,8 +153,10 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
                 cross = row_power - d * d                         # interference power
                 g = mrc[:, None, None]                            # one SNR per row
+                # SINR g d^2 / (g cross + d), divided by g first: g d^2
+                # overflows long before the rate does
                 rates[Detector.MRC][:, start:stop] = np.log2(
-                    1.0 + (g * d * d) / (g * cross + d)).sum(axis=-1)
+                    1.0 + d * d / (cross + d / g)).sum(axis=-1)
 
             if zf is not None:
                 # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;

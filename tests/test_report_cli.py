@@ -359,6 +359,9 @@ def config_path(tmp_path):
 
 _NORM = {"alpha": 2.0, "rho_r": 1.0, "rho_d": 1.0, "rho_s": 1.0}
 _POINT = {"m": 8, "k": 2, "gamma": 0.3, "detector": "mrc"}
+_PHYSICAL = {"bandwidth_hz": 2e7, "noise_psd": 4e-21, "path_gain": 6e-14,
+             "pa_slope": 2.5, "p_r": 0.3, "p_t": 0.07, "p_dec": 0.11,
+             "p_s": 9.0}
 
 
 def _sweep(**sweep):
@@ -407,11 +410,11 @@ _REFUSALS = [
                  id="empty-r-values"),
     pytest.param("sweep", _sweep(r_values=4.0), "'sweep.r_values'",
                  id="scalar-r-values"),
-    pytest.param("sweep", _sweep(r_values=[4.0, "8"]), "'sweep.r_values'",
+    pytest.param("sweep", _sweep(r_values=[4.0, "8"]), "'sweep.r_values[1]'",
                  id="string-in-r-values"),
     pytest.param("optimize", {"normalized": _NORM,
                               "optimize": {"R": 4.0, "detectors": ["mmse"]}},
-                 "'optimize.detectors'", id="unknown-detector"),
+                 "'optimize.detectors[0]'", id="unknown-detector"),
     pytest.param("validate", _points({**_POINT, "detector": 1}),
                  "'montecarlo.points[0].detector'", id="number-detector"),
     pytest.param("sweep", _sweep(detectors=[]), "'sweep.detectors'",
@@ -426,7 +429,7 @@ _REFUSALS = [
                  id="string-outputs"),
     pytest.param("sweep", _sweep(outputs=[]), "'sweep.outputs'",
                  id="empty-outputs"),
-    pytest.param("sweep", _sweep(outputs=["exact", 1]), "'sweep.outputs'",
+    pytest.param("sweep", _sweep(outputs=["exact", 1]), "'sweep.outputs[1]'",
                  id="number-in-outputs"),
     pytest.param("sweep", _sweep(outputs=["bogus"]), "unknown outputs",
                  id="unknown-output"),
@@ -453,6 +456,37 @@ _REFUSALS = [
                  "montecarlo.points[0]: m", id="point-m-without-a-double"),
     pytest.param("validate", _points({**_POINT, "k": 10 ** 400}),
                  "montecarlo.points[0]: k", id="point-k-without-a-double"),
+    pytest.param("optimize", {"physical": {**_PHYSICAL, "p_s": None},
+                              "optimize": {"R": 4.0}},
+                 "'physical.p_s'", id="null-physical-number"),
+    pytest.param("optimize",
+                 {"physical": {k: v for k, v in _PHYSICAL.items()
+                               if k != "p_s"}, "optimize": {"R": 4.0}},
+                 "'physical' needs 'p_s'", id="missing-physical-number"),
+    pytest.param("optimize", {"physical": {**_PHYSICAL, "bandwidth_hz": "2e7"},
+                              "optimize": {"R": 4.0}},
+                 "'physical.bandwidth_hz'", id="string-physical-number"),
+    pytest.param("optimize", {"physical": {**_PHYSICAL, "bogus": 1},
+                              "optimize": {"R": 4.0}},
+                 "'physical': ['bogus']", id="unknown-physical-key"),
+    pytest.param("optimize", {"normalized": _NORM, "optimize": None},
+                 "'optimize'", id="null-section"),
+    pytest.param("optimize", {"normalized": _NORM,
+                              "optimize": {"R": 4.0, "detectors": []}},
+                 "'optimize.detectors'", id="empty-optimize-detectors"),
+    pytest.param("trajectory", {"normalized": _NORM,
+                                "trajectory": {"r_values": [10.0]}},
+                 "'trajectory' needs 'c'", id="trajectory-without-c"),
+    pytest.param("validate", _points({**_POINT, "trials": "400"}),
+                 "'montecarlo.points[0].trials'", id="string-point-trials"),
+    pytest.param("validate", _points({**_POINT, "seed": True}),
+                 "'montecarlo.points[0].seed'", id="bool-point-seed"),
+    # optimize's rate is refused by its own name, not as a sweep's r_values
+    pytest.param("optimize", {"normalized": _NORM, "optimize": {"R": 0}},
+                 "R must be", id="zero-optimize-rate"),
+    pytest.param("optimize", {"normalized": _NORM,
+                              "optimize": {"R": math.inf}},
+                 "R must be", id="infinite-optimize-rate"),
 ]
 
 
@@ -608,6 +642,17 @@ class TestCli:
         assert (rc, out) == (2, "")
         assert err.startswith("error: config: ") and err.count("\n") == 1
         assert key in err
+
+    def test_a_section_the_command_does_not_read_is_not_read(self, capsys,
+                                                             tmp_path):
+        runs = []
+        for extra in ({}, {"sweep": {"bogus": 1}}):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"normalized": _NORM,
+                                        "optimize": {"R": 8.0}, **extra}))
+            runs.append(_run(capsys, "optimize", "--config", str(path)))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 0 and runs[1][2] == ""
 
     def test_k_max_that_is_no_integer_is_a_usage_error(self, capsys,
                                                        config_path):
@@ -813,8 +858,9 @@ class TestCli:
     @pytest.mark.parametrize("detector", ["mrc", "zf"])
     def test_rate_past_double_range_exits_3(self, capsys, tmp_path,
                                             detector):
-        # at gamma = 1.7e308 both the simulated and the closed-form rate
-        # overflow; 1e300 still fits, so that point is tabulated
+        # at gamma = 1.7e308 the closed-form rate overflows, and so does
+        # ZF's simulated rate (MRC's divides by gamma first and saturates);
+        # 1e300 still fits, so that point is tabulated
         def point(gamma):
             return {"m": 8, "k": 2, "gamma": gamma, "detector": detector}
 
@@ -829,10 +875,11 @@ class TestCli:
         rc, out, err = validate(1e300, 1.7e308)
         assert rc == 3
         assert out == ""
-        assert err == (
-            "error: numeric: rate out of double range at m=8, k=2, "
-            f"gamma=1.7e+308, {detector}: simulated "
-            f"{'nan' if detector == 'mrc' else 'inf'}, closed form inf\n")
+        head = ("error: numeric: rate out of double range at m=8, k=2, "
+                f"gamma=1.7e+308, {detector}: simulated ")
+        assert err.startswith(head) and err.endswith(", closed form inf\n")
+        simulated = float(err[len(head):].split(",")[0])
+        assert math.isfinite(simulated) == (detector == "mrc")
 
         rc, out, err = validate(1e300)
         assert rc == 0 and err == ""
@@ -881,9 +928,6 @@ class TestCli:
         assert proc.stdout == expected
 
 
-_PHYSICAL = {"bandwidth_hz": 2e7, "noise_psd": 4e-21, "path_gain": 6e-14,
-             "pa_slope": 2.5, "p_r": 0.3, "p_t": 0.07, "p_dec": 0.11,
-             "p_s": 9.0}
 _TABLES = {"sweep": {"r_values": [4.0, 60.0]}, "optimize": {"R": 24.0},
            "trajectory": {"c": 2.0, "r_values": [10.0, 100.0]},
            "thresholds": {"R": 40.0}}
