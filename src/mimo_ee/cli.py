@@ -84,9 +84,11 @@ def _detector(value: object, where: str) -> Detector:
         f"'{where}' must be one of {[d.value for d in Detector]}, got {value!r}")
 
 
-def _array(item: Callable) -> Callable:
-    """A reader of a nonempty array whose items `item` reads."""
+def _array(item: Callable, null: tuple = ()) -> Callable:
+    """A reader of a nonempty array of `item`s; null reads as `null` if set."""
     def read(value: object, where: str) -> tuple:
+        if value is None and null:
+            return null
         if not isinstance(value, list) or not value:
             raise ConfigError(f"'{where}' must be a nonempty array")
         return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
@@ -118,7 +120,8 @@ def _object(**fields) -> Callable:
     return read
 
 
-_DETECTORS = (_array(_detector), (Detector.MRC, Detector.ZF))
+_BOTH = (Detector.MRC, Detector.ZF)
+_DETECTORS = (_array(_detector, null=_BOTH), _BOTH)   # null means both too
 
 # every top-level key of a config -> the reader of that section
 _SECTIONS = {
@@ -168,20 +171,21 @@ def _profile(cfg: dict) -> PowerProfile:
 # module's namespace at call time, so a wrapper installed there is called.
 
 
-def _cmd_sweep(cfg: dict, args: argparse.Namespace,
-               outputs: set[str] | None = None):
+def _cmd_sweep(cfg: dict, args: argparse.Namespace):
     profile = _profile(cfg)
     sec = _read(cfg, "sweep")
     spec = SweepSpec(
         r_values=sec["r_values"], theta_base=profile,
-        detectors=sec["detectors"],
-        outputs=frozenset(sec["outputs"] if outputs is None else outputs),
+        detectors=sec["detectors"], outputs=frozenset(sec["outputs"]),
         trajectory_c=sec["trajectory_c"], k_max=args.k_max)
     return lambda: sweep_records(spec), sweep_columns(spec)
 
 
 def _cmd_breakdown(cfg: dict, args: argparse.Namespace):
-    return _cmd_sweep(cfg, args, outputs={"exact", "pa_fraction"})
+    sweep = cfg.get("sweep")   # read with breakdown's outputs, not its own
+    if isinstance(sweep, dict):
+        cfg = {**cfg, "sweep": {**sweep, "outputs": ["exact", "pa_fraction"]}}
+    return _cmd_sweep(cfg, args)
 
 
 def _cmd_optimize(cfg: dict, args: argparse.Namespace):
@@ -330,12 +334,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         records = compute()
-        if one_answer:
-            failures = [row[ERROR_COLUMN] for row in records
-                        if row[ERROR_COLUMN]]
-            if failures:
-                print(f"error: numeric: {failures[0]}", file=sys.stderr)
-                rc = 3
+        failures = [row[ERROR_COLUMN] for row in records
+                    if one_answer and row[ERROR_COLUMN]]
+        if failures:
+            print(f"error: numeric: {failures[0]}", file=sys.stderr)
+            rc = 3
         text = (render_json(records, columns) if args.format == "json"
                 else render_csv(records, columns))
         _emit(text, args.out)

@@ -654,6 +654,32 @@ class TestCli:
         assert runs[0] == runs[1]
         assert runs[1][0] == 0 and runs[1][2] == ""
 
+    @pytest.mark.parametrize("command, config, same_as", [
+        # a null detector list is the default one, as it was left out
+        pytest.param("sweep", _sweep(detectors=None), _sweep(),
+                     id="sweep-null-detectors"),
+        pytest.param("optimize", {"normalized": _NORM, "optimize": {
+            "R": 8.0, "detectors": None}},
+                     {"normalized": _NORM, "optimize": {"R": 8.0}},
+                     id="optimize-null-detectors"),
+        # breakdown sets its own outputs, so it never reads the config's
+        pytest.param("breakdown", _sweep(outputs=5), _sweep(),
+                     id="breakdown-scalar-outputs"),
+        pytest.param("breakdown", _sweep(outputs=["exact", 1]), _sweep(),
+                     id="breakdown-number-in-outputs"),
+        pytest.param("breakdown", _sweep(outputs=["bogus"]), _sweep(),
+                     id="breakdown-unknown-output"),
+    ])
+    def test_accepted_as_the_plain_config(self, capsys, tmp_path, command,
+                                          config, same_as):
+        runs = []
+        for cfg in (config, same_as):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            runs.append(_run(capsys, command, "--config", str(path)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+
     def test_k_max_that_is_no_integer_is_a_usage_error(self, capsys,
                                                        config_path):
         with pytest.raises(SystemExit) as exc:
@@ -859,8 +885,8 @@ class TestCli:
     def test_rate_past_double_range_exits_3(self, capsys, tmp_path,
                                             detector):
         # at gamma = 1.7e308 the closed-form rate overflows, and so does
-        # ZF's simulated rate (MRC's divides by gamma first and saturates);
-        # 1e300 still fits, so that point is tabulated
+        # ZF's simulated rate; MRC's divides by gamma first and saturates
+        # near 7.87 bits. 1e300 still fits, so that point is tabulated
         def point(gamma):
             return {"m": 8, "k": 2, "gamma": gamma, "detector": detector}
 
@@ -875,11 +901,11 @@ class TestCli:
         rc, out, err = validate(1e300, 1.7e308)
         assert rc == 3
         assert out == ""
-        head = ("error: numeric: rate out of double range at m=8, k=2, "
-                f"gamma=1.7e+308, {detector}: simulated ")
-        assert err.startswith(head) and err.endswith(", closed form inf\n")
-        simulated = float(err[len(head):].split(",")[0])
-        assert math.isfinite(simulated) == (detector == "mrc")
+        simulated = {"mrc": "7.874037407771462", "zf": "inf"}[detector]
+        assert err == (
+            "error: numeric: rate out of double range at m=8, k=2, "
+            f"gamma=1.7e+308, {detector}: simulated {simulated}, "
+            "closed form inf\n")
 
         rc, out, err = validate(1e300)
         assert rc == 0 and err == ""
