@@ -1,24 +1,10 @@
 """Exact optimization of integer antenna and user counts.
 
 For each K the power is convex in M, so only the floor and ceiling of the
-continuous optimum need to be checked, clamped to the least feasible M.
-The detectors differ only in link's interference term I, (K - 1) e for
-MRC with e = 2^(R/K) - 1, formed by link's one `_exp2m1`, and K - 1 for
-ZF: a design needs M - 1 > I, its SNR is e / (M - 1 - I), and its least M
-is floor(I) + 2, K + 1 for ZF.
-The search scans K upward in numpy blocks from the first K whose 2^(R/K)
-is a finite double. The first block holds 512 K or, given the relaxed
-optimum k*, ends at ceil(1.3 k*) + 32 for MRC and ceil(1.6 k*) + 32 for
-ZF, just past where the bound fires on most searches; later blocks double
-in size. A rate-aware lower bound on the power of every larger K ends the
-scan at the first K whose bound reaches the best power below it, exactly
-where a one-K-at-a-time loop would stop, wherever the blocks end, so no
-externally supplied cap is needed. For MRC the bound
-charges the interference antennas through a convex minorant, which
-fires near 1.2 K* where the K -> inf limit fired near 1.8 K*.
-One kernel, `_block_powers`, ranks the candidates of every K and gives
-the winner's M as an exact integer, so only the winning design is built
-into an `EfficiencyReport`.
+continuous optimum, clamped to link's least feasible M, are priced, by
+`_block_powers` for a block of K; only the winner is built into a report.
+The search prices one window of K and certifies every other K by branch
+and bound on `_interval_bound`.
 """
 
 from __future__ import annotations
@@ -36,20 +22,20 @@ from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
 from .relaxation import _require_inputs
 from .units import SystemParams, _require_count
 
-# hard stop for searches without k_max; the tail bound normally fires
-# long before it, and reaching it is reported as an error
-_K_CEILING = 10_000_000
-# the scan's K blocks start this small, so short searches stay cheap,
-# and double up to the largest, which bounds the temporaries' memory
-# (the two M candidates of a block share (2, size) arrays)
-_FIRST_BLOCK = 512
-_LAST_BLOCK = 32_768
-# given the relaxed k*, the first block ends at ceil(reach k*) + 32: the
-# tail bound fires at a median 1.26 k* for MRC (at most 1.74) and 1.57 k*
-# for ZF (at most 1.85) over request-mix searches, and of the reaches
-# timed, 1.2-2.0, these were fastest
+# K are priced as doubles, which hold every integer below 2^53
+_K_EXACT = 2 ** 53
+# the window holds 512 K without a relaxed k* and at most 32 768 with one; a
+# leaf holds at most 512 K, so a pass of 64 pieces prices at most 32 768 K
+_FIRST_BLOCK, _LAST_BLOCK = 512, 32_768
+# with the relaxed k*, the window ends at ceil(reach k*) + 32, well past K*
 _RELAXED_REACH = {Detector.MRC: 1.3, Detector.ZF: 1.6}
-_RELAXED_PAD = 32
+# a pass bounds the first 64 pieces of the queue and cuts each it keeps that
+# is no leaf into pieces of ratio 1.1, and into at least 16
+_PASS, _PIECE_RATIO, _SPLIT = 64, 1.1, 16
+# without k_max, a search is refused once it prices this many K: where the
+# best integer M lies far from the real one, the bound keeps huge ranges
+_PRICED_MAX = 10_000_000
+_NO_DESIGN = "no integer design achieves the rate with finite power"
 
 
 @dataclass(frozen=True)
@@ -59,8 +45,8 @@ class Optimum:
     zeta_star: float
     report: EfficiencyReport
     detector: Detector
-    k_range_searched: tuple[int, int]  # inclusive K interval actually evaluated
-    pruned_at: int | None              # first K excluded by the tail bound
+    k_range_searched: tuple[int, int]  # least and greatest K priced
+    pruned_at: int | None              # first K past them the bound excluded
 
     @property
     def objective(self) -> float:
@@ -69,8 +55,8 @@ class Optimum:
 
 
 def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
-                  ) -> tuple[np.ndarray, Callable[[int], int], np.ndarray]:
-    """Least total power, its M, and the tail bound at every K in ks.
+                  ) -> tuple[np.ndarray, Callable[[int], int]]:
+    """Least total power and its M at every K in ks.
 
     ks is a float array. Per K the candidates are the floor and ceiling of
     `optimal_m`'s continuous optimum, clamped to the least feasible M, or
@@ -79,11 +65,9 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
     its order, so it equals that function's total power bit for bit, and
     is +inf where it would raise; e = 2^(R/K) - 1 comes from link's
     `_exp2m1`, as there. best_m(i) is the least M attaining a finite
-    powers[i], as an exact int also past 2^53. The third array is
-    `_tail_lower_bound`'s.
+    powers[i], as an exact int also past 2^53.
     """
-    x = theta.R / ks
-    e = _exp2m1(x)
+    e = _exp2m1(theta.R / ks)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
         interference = _interference(ks, e, det)
@@ -105,7 +89,6 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
         lower, upper = np.where((gamma > 0) & np.isfinite(zeta)
                                 & (zeta >= sys.float_info.min),
                                 power, math.inf)
-        bound = _tail_lower_bound(ks, x, e, interference, theta, det)
 
     def best_m(i: int) -> int:
         # float(m_lo) rounds past 2^53, so the clamp is rebuilt as an int;
@@ -117,72 +100,81 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
         rounded = math.ceil(m_cont[i]) if upper_wins else math.floor(m_cont[i])
         return max(m_min, rounded)
 
-    return np.minimum(lower, upper), best_m, bound
+    return np.minimum(lower, upper), best_m
 
 
-# below this per-user rate R/K the MRC tail bound keeps its K -> inf form
-_SLOPE_X_MIN = 2.0 ** -8
+def _interval_bound(lo: np.ndarray, hi: np.ndarray, theta: SystemParams,
+                    det: Detector) -> np.ndarray:
+    """Power lower bound for every integer K in [lo_i, hi_i], on float arrays.
 
+    Minimizing over a real M, with e = 2^(R/K) - 1, the power is at least
+    MRC: 2 sqrt(alpha rho_r K e) + rho_r + rho_s + K rho_d + rho_r (K-1) e;
+    ZF: max(rho_r, 2 sqrt(alpha rho_r K e)) + K (rho_r + rho_d) + rho_s.
+    K e and e fall as K grows, so on the interval K e >= u = hi e(hi), and
+    K - 1 >= (1 - 1/lo) K.
 
-def _tail_lower_bound(ks: np.ndarray, x: np.ndarray, e: np.ndarray,
-                      interference: np.ndarray, theta: SystemParams,
-                      det: Detector) -> np.ndarray:
-    """Power lower bound valid for every user count K' >= k, at each k in ks.
-
-    x = R/k, e = 2^x - 1 and the interference I are `_block_powers`'
-    arrays. Minimizing the power over real M, then 2^x - 1 >= x ln2 (so
-    K' e(K') >= R ln2), gives power(K') >= C + h(K') with
-    C = 2 sqrt(alpha rho_r R ln2) + rho_r + rho_s and
-    h(K') = K' rho_d + rho_r (K'-1) e(K').
-
-    MRC: K' - 1 >= (1 - 1/k) K', and K' e(K') is convex in K', so
-    f(K') = K' rho_d + (1 - 1/k) rho_r K' e(K') <= h(K') is convex with
-    slope rho_d - (1 - 1/k) rho_r (1 - 2^x (1 - x ln2)) at k. Where that
-    slope is positive, f climbs from f(k) = h(k), and the bound is C + h(k).
-    Elsewhere, and below x = 2^-8, it is the K' -> inf limit
-    C + k rho_d + (1 - 1/k) rho_r R ln2. ZF: the larger of
-    (k+1) rho_r + k rho_d + rho_s and C - rho_r + k (rho_r + rho_d).
-
-    Rounding: every bound is scaled by (1 - 1e-12). Where x >= 2^-8,
-    `_exp2m1`'s pow errs by under one ulp, so e(K') is within 4e-13 relative
-    of 2^(R/K') - 1 for every K' <= 4k (1e-13 at k), and the sums round
-    by a few ulps, so the margin covers K' <= 4k. Past 2k the slope of f
-    is at least rho_d / 2, and its climb outruns the absolute error of
-    K' e(K'). The slope test is decided within 1e-10 of its terms; a
-    slope that is truly negative by that much lets f dip below f(k) by a
-    second-order amount, under 1e-8 of the margin. So rounding cannot
-    prune a K that would win.
+    Rounding: pow errs by under one ulp of 2^x and R/K by half an ulp, so
+    the priced e is within 8.5e-14 relative of 2^(R/K) - 1 where R/K >= 1,
+    and within 2^-51 absolute below. So u is hi (e(hi) - 2^-49), which no
+    priced K e on the interval undercuts by 1.7e-13 relative; or R ln2 / 2.
+    Below R/K = 1, pow alone errs by under 2^-52 and 2^x - 1 >= x ln2, so
+    K e >= R ln2 (1 - 2^-53) - K 2^-52; where K 2^-52 exceeds R ln2 / 2, a
+    priced e > 0 is >= 2^-52, which gives K e > R ln2 / 2 by itself (an e
+    of 0 is priced +inf). Above, K e >= R ln2 (1 - 1e-13). The priced
+    power rounds its terms, all >= 0, under 1e-15 relative, and its
+    headroom M - 1 - I is exact within its own rounding, which the
+    minimization over M absorbs. The scale (1 - 1e-12) covers these
+    errors. No product overflows where the true bound does not: share hi
+    and hi e overflow together only where their product does.
     """
-    rate_ln2 = theta.R * math.log(2.0)
-    # three square roots, so no product overflows before the root
-    pa_antennas = (2.0 * math.sqrt(theta.alpha) * math.sqrt(theta.rho_r)
-                   * math.sqrt(rate_ln2))
-    # ZF's own bound: its rate-blind floor (k+1) rho_r has no MRC twin
-    if det is Detector.ZF:
-        bound = np.maximum(
-            (ks + 1) * theta.rho_r + ks * theta.rho_d + theta.rho_s,
-            pa_antennas + ks * (theta.rho_r + theta.rho_d) + theta.rho_s)
-        return bound * (1.0 - 1e-12)
-    share = (ks - 1.0) / ks
-    # -d(K e(K))/dK = 1 - 2^x (1 - x ln2), as x ln2 2^x - (2^x - 1)
-    drop = x * (e + 1.0) * math.log(2.0) - e
-    # strict, so a ratio that overflows to inf proves nothing
-    convex = share * drop < theta.rho_d / theta.rho_r
-    if x[-1] < _SLOPE_X_MIN:
-        convex &= x >= _SLOPE_X_MIN
-    charge = np.where(convex, theta.rho_r * interference,
-                      (theta.rho_r * rate_ln2) * share)
-    return ((pa_antennas + theta.rho_r + theta.rho_s
-             + (ks * theta.rho_d + charge)) * (1.0 - 1e-12))
+    e = np.maximum(_exp2m1(theta.R / hi) - 2.0 ** -49,
+                   (0.5 * math.log(2.0)) * theta.R / hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pa_antennas = (2.0 * math.sqrt(theta.alpha) * math.sqrt(theta.rho_r)
+                       * (np.sqrt(hi) * np.sqrt(e)))
+        if det is Detector.ZF:
+            bound = (np.maximum(pa_antennas, theta.rho_r)
+                     + lo * (theta.rho_r + theta.rho_d) + theta.rho_s)
+        else:
+            share, ke = theta.rho_r * (1.0 - 1.0 / lo), hi * e
+            bound = (pa_antennas + theta.rho_r + theta.rho_s + lo * theta.rho_d
+                     + np.where(ke < math.inf, share * ke, share * hi * e))
+    return bound * (1.0 - 1e-12)
 
 
-def _first_block(k_lo: int, k_relaxed: float | None, det: Detector) -> int:
-    """Size of the scan's first block, which starts at K = k_lo."""
-    if k_relaxed is None or not math.isfinite(k_relaxed):
-        return _FIRST_BLOCK
-    # capped first, since ceil refuses the inf that reach k* may round to
-    end = math.ceil(min(_RELAXED_REACH[det] * k_relaxed, k_lo + _LAST_BLOCK))
-    return min(max(end + _RELAXED_PAD + 1 - k_lo, 1), _LAST_BLOCK)
+def _window(k_lo: int, k_top: int, k_relaxed: float | None,
+            det: Detector) -> tuple[int, int]:
+    """First and last K of the window, which the search prices first."""
+    end = min(k_top, k_lo + _FIRST_BLOCK - 1)
+    if k_relaxed is not None and math.isfinite(k_relaxed):
+        # capped first, since ceil refuses the inf that reach k* may round to
+        end = min(k_top, max(k_lo, 32 + math.ceil(
+            min(_RELAXED_REACH[det] * k_relaxed, _K_EXACT))))
+    return max(k_lo, end - _LAST_BLOCK + 1), end
+
+
+def _split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each [lo_i, hi_i] cut into geometric pieces of ratio 1.1, and into at
+    least 16; however the cuts round, the nonempty pieces cover it exactly."""
+    if not lo.size:
+        return lo, hi
+    n = max(_SPLIT, math.ceil(math.log(((hi + 1.0) / lo).max(), _PIECE_RATIO)))
+    cuts = np.floor(lo[:, None] * ((hi + 1.0) / lo)[:, None]
+                    ** (np.arange(n + 1) / n))
+    np.minimum(cuts, (hi + 1.0)[:, None], out=cuts)
+    cuts[:, -1] = hi + 1.0
+    starts, ends = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1.0
+    return starts[starts <= ends], ends[starts <= ends]
+
+
+def _price(ks: np.ndarray, theta: SystemParams, det: Detector,
+           best: tuple[float, int, int]) -> tuple[float, int, int]:
+    """(power, K, M) of the best of best and the ascending ks; ties: least K"""
+    powers, best_m = _block_powers(ks, theta, det)
+    i = int(np.argmin(powers))
+    if (powers[i], ks[i]) < best[:2]:
+        return float(powers[i]), int(ks[i]), best_m(i)
+    return best
 
 
 def optimize_exact(theta: SystemParams, det: Detector, *,
@@ -190,16 +182,11 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
                    k_relaxed: float | None = None) -> Optimum:
     """Find the integer (M, K) maximizing energy efficiency.
 
-    Ties break toward smaller K and then smaller M: the scan replaces its
-    incumbent only on strict power improvement in ascending K.
-    Requires rho_d > 0 when k_max is not supplied, since otherwise ever
-    larger user counts can keep improving and no finite answer exists.
-    Without k_max the answer is certified by the tail bound; if the bound
-    has not fired by K = 10 000 000 the search raises instead.
-    k_relaxed, the relaxed optimum's k* where the caller has it, sizes the
-    scan's first block to end just past where the bound should fire; the
-    blocks only set how much is priced at once, so the result is the same
-    for every value, nan and inf included. Without it the block holds 512 K.
+    Ties break toward smaller K, then smaller M. Every K is priced or
+    excluded by `_interval_bound`, so the answer is certified. Without k_max,
+    rho_d must be > 0, and the search raises where its cap overflows, the
+    bound cannot exclude K >= 2^53, or it prices 10 000 000 K. k_relaxed, the
+    relaxed k*, places the window, never the answer.
     """
     _require_inputs(theta)
     if k_max is not None:   # within double range, as the relaxation takes it
@@ -208,45 +195,57 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
         raise ValueError(
             "optimum may lie at K -> inf: supply k_max or a positive rho_d")
 
-    k_ceiling = k_max if k_max is not None else _K_CEILING
-    power_star, k_star, m_star = math.inf, 0, 0
-    pruned_at: int | None = None
     # 2^(R/K) overflows at every K <= R / 1024, so those K cost +inf
     k_lo = math.floor(theta.R / _EXP2_OVERFLOW) + 1
-    size = _first_block(k_lo, k_relaxed, det)
-    while pruned_at is None and k_lo <= k_ceiling:
-        ks = np.arange(k_lo, min(k_lo + size, k_ceiling + 1), dtype=float)
-        powers, best_m, bound = _block_powers(ks, theta, det)
-        # best power over all K below each entry, the incumbent included
-        best_below = np.minimum.accumulate(
-            np.concatenate(([power_star], powers[:-1])))
-        fired = np.flatnonzero((best_below < math.inf)
-                               & (bound >= best_below))
-        if fired.size:
-            pruned_at = k_lo + int(fired[0])
-            powers = powers[:fired[0]]
-        if powers.size:
-            i = int(np.argmin(powers))
-            if powers[i] < power_star:
-                power_star, k_star, m_star = (float(powers[i]), k_lo + i,
-                                              best_m(i))
-        if power_star == math.inf and _exp2m1(theta.R / ks[-1]) == 0.0:
-            # 2^(R/K) - 1 is 0 here and, as R/K falls, at every larger K:
-            # no K beyond this block reaches the rate either
-            break
-        k_lo += ks.size
-        size = min(2 * size, _LAST_BLOCK)
+    k_top = min(k_max or _K_EXACT, _K_EXACT - 1)
+    if k_lo <= k_top:
+        w_lo, w_hi = _window(k_lo, k_top, k_relaxed, det)
+        best = _price(np.arange(w_lo, w_hi + 1.0), theta, det, (math.inf, 0, 0))
+    # with no K to price, or 2^(R/K) - 1 = 0 at k_lo and so at every larger K
+    if k_lo > k_top or not best[1] and _exp2m1(theta.R / k_lo) == 0.0:
+        raise InfeasibleError(_NO_DESIGN)
 
+    # each user adds at least rho_d, and under ZF an antenna too, so no K past
+    # the cap beats the best power, roundings included (with none, 2^53 and on)
+    zf = det is Detector.ZF
+    cap = k_max or best[0] / (theta.rho_d + theta.rho_r * zf) * (1.0 + 1e-12)
+    if best[1] and not cap < math.inf:
+        per_user = "(rho_r + rho_d)" if zf else "rho_d"
+        raise ValueError(f"k cap incumbent/{per_user} overflows: supply k_max")
+    k_end = k_max or math.floor(min(cap, sys.float_info.max)) + 1
+    # the K from 2^53 on cannot be priced, so the bound must exclude them
+    tail = math.inf if k_end < _K_EXACT else _interval_bound(
+        np.array([float(_K_EXACT)]), np.array([float(k_end)]), theta, det)[0]
+    gaps = np.array([[k_lo, w_hi + 1.0],
+                     [w_lo - 1.0, min(k_end, _K_EXACT - 1)]])
+    lo, hi = _split(*gaps[:, gaps[0] <= gaps[1]])
+    first, last, spent = w_lo, w_hi, w_hi - w_lo + 1
+    while lo.size or k_end >= _K_EXACT:
+        # strict, so a tie at a smaller K is never cut
+        kept = ~(_interval_bound(lo[:_PASS], hi[:_PASS], theta, det) > best[0])
+        a, b = lo[:_PASS][kept], hi[:_PASS][kept]
+        lo, hi = lo[_PASS:], hi[_PASS:]
+        if a.size:
+            # a leaf is priced whole; another piece's last K tightens best
+            head = np.where(b - a < _FIRST_BLOCK, a, b)
+            ks = np.concatenate([np.arange(h, t + 1) for h, t in zip(head, b)])
+            best = _price(ks, theta, det, best)
+            first, last = min(first, int(ks[0])), max(last, int(ks[-1]))
+            spent += ks.size
+            # the parts of the kept pieces go first, so the queue stays small
+            a, b = _split(a[head > a], b[head > a])
+            lo, hi = np.concatenate((a, lo)), np.concatenate((b, hi))
+        if (k_end >= _K_EXACT and not tail > best[0]
+                or k_max is None and spent >= _PRICED_MAX and lo.size):
+            raise ValueError("exact search cannot certify below K = 2^53 in "
+                             f"{_PRICED_MAX} priced K: supply a k_max below it")
+        if not lo.size:
+            break
+
+    _, k_star, m_star = best
     if not k_star:
-        raise InfeasibleError(
-            "no integer design achieves the rate with finite power")
-    if pruned_at is None and k_max is None:
-        raise ValueError(
-            f"exact search reached K = {_K_CEILING} before its tail bound "
-            "certified the optimum: supply k_max")
+        raise InfeasibleError(_NO_DESIGN)
     report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
-                   report=report, detector=det,
-                   k_range_searched=(1, k_ceiling if pruned_at is None
-                                     else pruned_at - 1),
-                   pruned_at=pruned_at)
+                   report=report, detector=det, k_range_searched=(first, last),
+                   pruned_at=None if last == k_max else last + 1)

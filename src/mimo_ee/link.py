@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -36,17 +35,13 @@ class InfeasibleError(ValueError):
 
 
 def _exp2m1(x):
-    """2^x - 1 on a float or a float array, +inf from x = 1024 on, where 2^x
-    leaves double range. 2^x is the C library's pow, as Python's ** forms
-    it; numpy's own power differs from it in the last bit on some arguments.
-    """
+    """2^x - 1 on a float or a float array, +inf from x = 1024 on: 2^x is the
+    C library's pow, which Python's ** and numpy's float_power call (numpy's
+    power and exp2 differ from it in the last bit on some arguments)."""
     if not isinstance(x, np.ndarray):
         return math.inf if x >= _EXP2_OVERFLOW else math.pow(2.0, x) - 1.0
-    try:
-        return np.fromiter(map(math.pow, repeat(2.0), x.tolist()), float,
-                           x.size) - 1.0
-    except OverflowError:   # masked only then; math.pow(2, inf) is inf
-        return _exp2m1(np.where(x >= _EXP2_OVERFLOW, math.inf, x))
+    with np.errstate(over="ignore"):
+        return np.float_power(2.0, x) - 1.0
 
 
 @dataclass(frozen=True)

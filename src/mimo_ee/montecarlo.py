@@ -169,8 +169,13 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                               out=inv[:, i, None, :i])
                     inv[:, i, :i] *= -inv_diag[:, i, None]
                 diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
-                rates[Detector.ZF][:, start:stop] = np.log2(
-                    1.0 + zf[:, None, None] / diag_inv).sum(axis=-1)
+                rate = np.log2(1.0 + zf[:, None, None] / diag_inv)
+                # the rate is inf only where g / diag_inv overflows; there
+                # log2(SINR) is a log difference
+                if np.isinf(rate).any():
+                    np.subtract(np.log2(zf)[:, None, None], np.log2(diag_inv),
+                                out=rate, where=np.isinf(rate))
+                rates[Detector.ZF][:, start:stop] = rate.sum(axis=-1)
 
 
 def _run_group(configs: Sequence[McConfig], threads: int

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
-from mimo_ee.integer_opt import (_FIRST_BLOCK, _LAST_BLOCK, Optimum,
-                                 _block_powers, _first_block, optimize_exact)
+from mimo_ee.integer_opt import (_FIRST_BLOCK, _K_EXACT, _LAST_BLOCK,
+                                 Optimum, _block_powers, _interval_bound,
+                                 _window, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           _rate_headroom)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -61,7 +62,7 @@ def _best_m_for_k(k, theta, det):
 
 def _kernel_at(k, theta, det):
     """The block kernel's power and M at the single user count k."""
-    powers, best_m, _ = _block_powers(np.array([float(k)]), theta, det)
+    powers, best_m = _block_powers(np.array([float(k)]), theta, det)
     return float(powers[0]), best_m(0)
 
 
@@ -283,59 +284,58 @@ class TestErrors:
 
 
 # (R, alpha, rho_r, rho_d, rho_s), detector, k_max ->
-#     (M*, K*, zeta*, k_range_searched, pruned_at), pruned_at under the
-#     earlier tail bound, which charged the MRC interference antennas
-#     only their K -> inf limit rho_r R ln2 (1 - 1/k).
+#     (M*, K*, zeta*, k_range_searched, pruned_at).
 #     (M*, K*, zeta*) are frozen from the first, rate-blind search, so any
-#     rework must reproduce them bit for bit; the K range and pruned_at come
-#     from the current bound, which may only prune at or before the earlier one
+#     rework must reproduce them bit for bit; the K range and pruned_at are
+#     the least and greatest K the interval search priced and the first K
+#     past them it excluded
 FROZEN_OPTIMA = (
-    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 34), 35), 45),
-    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 17), 18), 18),
-    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 8), 9), 10),
-    ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 6), 7), 7),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 21), 22), 27),
-    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 15), 16), 16),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 108), 109), 150),
-    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 47), 48), 48),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 27), 28), 32),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 18), 19), 19),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 68), 69), 89),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 41), 42), 42),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 402), 403), 587),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 147), 148), 148),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 103), 104), 125),
-    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 63), 64), 64),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 253), 254), 343),
-    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 130), 131), 131),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (1, 2345), 2346), 3612),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (1, 683), 684), 684),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (1, 618), 619), 770),
-    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (1, 323), 324), 324),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (1, 1472), 1473), 2096),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (1, 612), 613), 613),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None), None),
-    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None), None),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (1, 40), None), None),
-    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, 300, (1083, 300, 1.3838225313878523, (1, 300), None), None),
-    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, 2, (1152921510487973120, 2, 1.040834074967362e-15, (1, 2), None), None),
-    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, 9, (756, 9, 0.1550343681783867, (1, 9), None), None),
-    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (1, 1000), None), None),
-    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None), None),
-    ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None), None),
-    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 22), 23), 23),
-    ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None), None),
-    ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None), None),
-    ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None), None),
-    ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None), None),
-    ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (1, 700), None), None),
-    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (1, 854), 855), 855),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (49, 25, 0.4144013443440592, (1, 512), 513)),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (24, 11, 0.7047281797522282, (1, 512), 513)),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (244, 7, 0.3492647058823529, (1, 512), 513)),
+    ((35.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (103, 5, 0.49914868227658366, (1, 512), 513)),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (73, 16, 0.42352945222185007, (1, 512), 513)),
+    ((35.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (36, 9, 0.6385230586963037, (1, 512), 513)),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (156, 86, 0.46137045569423224, (1, 512), 513)),
+    ((120.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (60, 30, 0.9917355371900827, (1, 512), 513)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (909, 23, 0.3612267792974406, (1, 512), 513)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (296, 14, 0.6062006013300335, (1, 512), 513)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (230, 54, 0.4895608574495864, (1, 512), 513)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (85, 27, 0.9194693059628237, (1, 512), 513)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (599, 339, 0.49374513712714563, (1, 512), 513)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (173, 97, 1.382231352367195, (1, 512), 513)),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (3422, 93, 0.3708623675779677, (1, 512), 513)),
+    ((480.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (906, 48, 0.7310986397347424, (1, 512), 513)),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (873, 212, 0.5331258304946763, (1, 512), 513)),
+    ((480.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (238, 88, 1.2785742449500992, (1, 512), 513)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, None, (3640, 2096, 0.5153159204179901, (3, 29800), 29801)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, None, (748, 474, 2.0030572745723507, (3, 526), 527)),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), MRC, None, (21242, 576, 0.37783154560517684, (3, 686), 687)),
+    ((3000.0, 1.5, 0.1, 10.0, 0.1), ZF, None, (3853, 256, 0.9076843106138633, (3, 514), 515)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, None, (5269, 1310, 0.5610708534521782, (3, 7926), 7927)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), ZF, None, (995, 432, 1.8207005806870153, (3, 514), 515)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), MRC, 1, (2498699081648685706009877066535308618943944941330959117958010198753804288, 1, 9.604998127331275e-71, (1, 1), None)),
+    ((480.0, 2.0, 1.0, 1.0, 1.0), ZF, 7, (78359641543, 7, 3.0628011470235123e-09, (1, 7), None)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), MRC, 40, (1473378342657067694686208, 40, 2.036136892433417e-21, (3, 40), None)),
+    ((3000.0, 2.0, 1.0, 1.0, 1.0), ZF, 300, (1083, 300, 1.3838225313878523, (3, 300), None)),
+    ((120.0, 1.5, 0.1, 10.0, 0.1), MRC, 2, (1152921510487973120, 2, 1.040834074967362e-15, (1, 2), None)),
+    ((120.0, 3.0, 0.5, 2.0, 5.0), ZF, 9, (756, 9, 0.1550343681783867, (1, 9), None)),
+    ((3000.0, 3.0, 0.5, 2.0, 5.0), MRC, 1000, (7199, 1000, 0.5256758460496316, (3, 1000), None)),
+    ((35.0, 2.0, 1.0, 1.0, 1.0), ZF, 3, (143, 3, 0.12225553744044046, (1, 3), None)),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), MRC, 5, (545, 5, 0.0602121762400841, (1, 5), None)),
+    ((35.0, 2.0, 1.0, 0.0, 1.0), ZF, 60, (25, 13, 0.9250080981031971, (1, 60), None)),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), MRC, 30, (518, 30, 1.9956193721100022, (1, 30), None)),
+    ((120.0, 1.5, 0.1, 0.0, 0.1), ZF, 12, (441, 12, 1.3773618223556419, (1, 12), None)),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), MRC, 200, (924, 200, 0.9642163985885978, (1, 200), None)),
+    ((480.0, 3.0, 0.5, 0.0, 0.0), ZF, 150, (232, 142, 2.98965267331326, (1, 150), None)),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), MRC, 700, (13096, 700, 0.22627239845738914, (3, 700), None)),
+    ((3000.0, 2.0, 1.0, 0.0, 1.0), ZF, 2000, (776, 569, 3.0488247607233516, (3, 722), 723)),
 )
 
 
 class TestFrozenOptima:
     def test_every_field_matches(self):
-        for (R, alpha, rho_r, rho_d, rho_s), det, k_max, want, earlier in \
+        for (R, alpha, rho_r, rho_d, rho_s), det, k_max, want in \
                 FROZEN_OPTIMA:
             case = (R, alpha, rho_r, rho_d, rho_s, det, k_max)
             got = optimize_exact(_theta(R=R, alpha=alpha, rho_r=rho_r,
@@ -343,13 +343,12 @@ class TestFrozenOptima:
                                  det, k_max=k_max)
             assert (got.m_star, got.k_star, got.zeta_star,
                     got.k_range_searched, got.pruned_at) == want, case
-            if earlier is not None:
-                assert got.pruned_at is not None and \
-                    got.pruned_at <= earlier, case
+            # the range starts at the first K whose 2^(R/K) is finite
+            assert got.k_range_searched[0] == math.floor(R / 1024) + 1, case
             if got.pruned_at is None:
-                assert got.k_range_searched == (1, k_max), case
+                assert got.k_range_searched[1] == k_max, case
             else:
-                assert got.k_range_searched == (1, got.pruned_at - 1), case
+                assert got.k_range_searched[1] == got.pruned_at - 1, case
 
 
 def _scalar_tail_bound(k, theta, det):
@@ -382,10 +381,10 @@ def _scalar_tail_bound(k, theta, det):
 def _sequential_search(theta, det, k_max=None):
     """optimize_exact as a one-K-at-a-time loop over _best_m_for_k.
 
-    The reference for the block scan: same tail bound (computed apart, in
-    scalar floats), same ceiling, same tie rule (strict improvement in
-    ascending K), same Optimum fields. It starts at K = 1, so it also
-    checks that the scan may skip the K whose 2^(R/K) overflows.
+    The reference for the interval search's answer: the earlier scan's
+    tail bound (computed apart, in scalar floats) and ceiling, its tie rule
+    (strict improvement in ascending K). It starts at K = 1, so it also
+    checks that the search may skip the K whose 2^(R/K) overflows.
     """
     power_star, m_star, k_star = math.inf, 0, 0
     pruned_at = None
@@ -410,14 +409,9 @@ def _sequential_search(theta, det, k_max=None):
                    k_range_searched=(1, k_hi_seen), pruned_at=pruned_at)
 
 
-def _scan_bound(k, theta, det):
-    """The tail bound at k as the scan computes it, inside k's own block."""
-    k_lo, size = math.floor(theta.R / 1024.0) + 1, _FIRST_BLOCK
-    while k >= k_lo + size:
-        k_lo += size
-        size = min(2 * size, _LAST_BLOCK)
-    ks = np.arange(k_lo, k_lo + size, dtype=float)
-    return float(_block_powers(ks, theta, det)[2][k - k_lo])
+def _answer(opt):
+    """The fields of an Optimum that do not depend on which K were priced."""
+    return opt.m_star, opt.k_star, opt.zeta_star, opt.report, opt.detector
 
 
 def _reference_corpus():
@@ -450,7 +444,7 @@ def _reference_corpus():
         (_theta(R=12.0, rho_r=1e6), ZF, None),
         (_theta(R=12.0, rho_r=1e6), MRC, 3),
         # R / K* where numpy's power and ** disagree in the last bit on
-        # some numpy builds; the block scan must not see the difference
+        # some numpy builds; the search must not see the difference
         (_theta(R=83.0), ZF, None),
         (_theta(R=153.0), MRC, None),
         (_theta(R=160.0), MRC, None),
@@ -475,7 +469,7 @@ class TestBlockScan:
             k0 = int(rng.integers(1, 3000))
             ks = np.arange(k0, k0 + 300, dtype=float)
             want = [_best_m_for_k(k, theta, det) for k in range(k0, k0 + 300)]
-            powers, best_m, _ = _block_powers(ks, theta, det)
+            powers, best_m = _block_powers(ks, theta, det)
             assert powers.tolist() == [p for p, _ in want], (theta, det)
             finite = [i for i, (p, _) in enumerate(want) if p < math.inf]
             assert [best_m(i) for i in finite] == [want[i][1] for i in finite], \
@@ -500,8 +494,8 @@ class TestBlockScan:
                 with pytest.raises(InfeasibleError, match=str(exc)):
                     optimize_exact(theta, det, k_max=k_max)
                 continue
-            assert optimize_exact(theta, det, k_max=k_max) == want, \
-                (theta, det, k_max)
+            assert _answer(optimize_exact(theta, det, k_max=k_max)) == \
+                _answer(want), (theta, det, k_max)
 
     @pytest.mark.parametrize("det", [MRC, ZF])
     @settings(max_examples=60, deadline=None)
@@ -510,54 +504,141 @@ class TestBlockScan:
            rho_s=st.floats(0.0, 1e3), k=st.integers(1, 5000))
     def test_tail_bound_holds_for_larger_user_counts(
             self, det, rate, alpha, log_rho_r, log_rho_d, rho_s, k):
+        # the sequential oracle's tail bound, which must stay sound
         theta = SystemParams(R=rate, alpha=alpha, rho_r=10.0 ** log_rho_r,
                              rho_d=10.0 ** log_rho_d, rho_s=rho_s)
-        # k itself, then K' past it, far past it, and across block edges
         for k_bound in (k, 511, 512, 513, 1535, 1536, 1537):
             if k_bound <= rate / 1024.0:
-                continue  # the scan starts past every K that 2^(R/K) overflows
-            bound = _scan_bound(k_bound, theta, det)
-            assert bound == _scalar_tail_bound(k_bound, theta, det)
+                continue  # the search starts past every K 2^(R/K) overflows
+            bound = _scalar_tail_bound(k_bound, theta, det)
             for j in (*range(k_bound, k_bound + 201), 2 * k_bound,
                       10 * k_bound):
                 assert bound <= _best_m_for_k(j, theta, det)[0], (k_bound, j)
 
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_interval_bound_holds_on_every_user_count(self, det):
+        # seeded profiles and intervals, R/hi from past 2^-8 down to 1e-9,
+        # hi = lo, and K near 2^53; every K of each interval is priced
+        rng = np.random.default_rng(29)
+        for i in range(300):
+            theta = SystemParams(
+                R=float(10.0 ** rng.uniform(-1, 6)),
+                alpha=float(rng.uniform(1.01, 10.0)),
+                rho_r=float(10.0 ** rng.uniform(-4, 40 if i % 5 == 0 else 4)),
+                rho_d=float(10.0 ** rng.uniform(-9, 3)),
+                rho_s=float(10.0 ** rng.uniform(-3, 3)))
+            k_lo = math.floor(theta.R / 1024.0) + 1
+            if i % 10 == 9:
+                lo = _K_EXACT - int(rng.integers(1, 10 ** 6))
+            else:   # R/lo log-uniform in [1e-9, 2^10]
+                lo = max(k_lo, int(theta.R / 2.0 ** rng.uniform(-30, 10)))
+            hi = lo if i % 4 == 0 else min(
+                _K_EXACT - 1, lo + int(rng.integers(1, 4 * lo + 300)))
+            ks = np.unique(np.concatenate((
+                np.arange(lo, min(hi, lo + 200) + 1),
+                np.arange(max(lo, hi - 200), hi + 1),
+                rng.integers(lo, hi + 1, 200)))).astype(float)
+            bound = float(_interval_bound(np.array([float(lo)]),
+                                          np.array([float(hi)]), theta, det)[0])
+            powers, _ = _block_powers(ks, theta, det)
+            assert bound <= powers.min(), (theta, det, lo, hi)
+
+
+def _counting_blocks(monkeypatch):
+    """The sizes of the K blocks optimize_exact prices, as it prices them."""
+    sizes = []
+
+    def counted(ks, theta, det):
+        sizes.append(ks.size)
+        return _block_powers(ks, theta, det)
+
+    monkeypatch.setattr("mimo_ee.integer_opt._block_powers", counted)
+    return sizes
+
 
 class TestCertification:
-    def test_large_antenna_power_prunes_after_one_user(self):
+    def test_large_antenna_power_prunes_after_one_user(self, monkeypatch):
         # the rate-blind bound rho_r + k*rho_d + rho_s ran this to the
-        # ceiling; the rate term makes it fire at K = 2
+        # ceiling; the interval bound excludes every K past the window in
+        # its first pass
+        sizes = _counting_blocks(monkeypatch)
         theta = SystemParams(R=9.147, alpha=7.77, rho_r=4.85e5,
                              rho_d=0.0288, rho_s=2080.0)
         got = optimize_exact(theta, MRC)
         assert (got.m_star, got.k_star) == (2, 1)
-        assert got.pruned_at == 2
-        assert got.k_range_searched == (1, 1)
+        assert got.k_range_searched == (1, _FIRST_BLOCK)
+        assert got.pruned_at == _FIRST_BLOCK + 1
+        assert sizes == [_FIRST_BLOCK]
 
-    def test_tiny_user_power_stays_bounded(self):
+    def test_tiny_user_power_stays_bounded(self, monkeypatch):
         # 939 266 K under the rate-blind bound, 10 700 under the K -> inf
-        # limit of the interference antennas, 7 526 now; 5 % margin
+        # limit of the interference antennas, 7 526 under their convex
+        # minorant, 6 342 priced now; 5 % margin
+        sizes = _counting_blocks(monkeypatch)
         got = optimize_exact(_theta(R=100.0, rho_d=1e-4), MRC)
-        assert got.pruned_at is not None
-        assert got.k_range_searched[1] <= 7_900
+        assert got.k_star == 5094 and got.pruned_at is not None
+        assert sum(sizes) <= 6_700
 
-    def test_reaching_the_ceiling_uncapped_raises(self, monkeypatch):
-        theta = _theta(R=100.0, rho_d=1e-4)
-        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50)
-        with pytest.raises(ValueError, match="supply k_max"):
-            optimize_exact(theta, MRC)
-        capped = optimize_exact(theta, MRC, k_max=50)
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_overflowing_cap_is_refused_at_once(self, det):
+        # incumbent / rho_d overflows at rho_d = 5e-324, so MRC, whose
+        # users add only rho_d each, asks for k_max; ZF's add rho_r too
+        theta = _theta(R=10.0, rho_d=5e-324)
+        start = time.perf_counter()
+        if det is MRC:
+            with pytest.raises(ValueError, match="overflows: supply k_max"):
+                optimize_exact(theta, det)
+        else:
+            got = optimize_exact(theta, det)
+            assert (got.m_star, got.k_star) == (10, 5)
+        assert time.perf_counter() - start < 0.1
+        capped = optimize_exact(theta, det, k_max=50)
         assert capped.pruned_at is None
         assert capped.k_range_searched == (1, 50)
 
-    def test_uncertified_search_is_a_row_error(self, monkeypatch):
-        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50)
+    def test_user_counts_past_2_53_are_refused_at_once(self):
+        # at rho_d = 1e-300 the cap incumbent / rho_d is finite, but no
+        # bound excludes the K from 2^53 on, where the power still falls
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="below K = 2\\^53 .*supply a k_max"):
+            optimize_exact(_theta(R=10.0, rho_d=1e-300), MRC)
+        assert time.perf_counter() - start < 0.1
+        # below 2^53 the power falls with K, so a cap takes the optimum
+        got = optimize_exact(_theta(R=10.0, rho_d=1e-300), MRC, k_max=5000)
+        assert got.k_star == 5000
+
+    def test_search_pricing_ten_million_user_counts_is_refused(self):
+        # K* ~ 5e8, and the best integer M sits off the real one over
+        # billions of K, so no piece near K* can be excluded; the search
+        # stops at 10 000 000 priced K and asks for k_max
+        theta = _theta(R=1e3, rho_d=1e-12)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="10000000 priced K: supply"):
+            optimize_exact(theta, MRC)
+        assert time.perf_counter() - start < 5.0
+        assert optimize_exact(theta, MRC, k_max=1000).k_star == 1000
+
+    def test_uncertified_search_is_a_row_error(self):
         (row,) = sweep_records(SweepSpec(
             r_values=(100.0,), theta_base=PowerProfile(
-                alpha=2.0, rho_r=1.0, rho_d=1e-4, rho_s=1.0),
+                alpha=2.0, rho_r=1.0, rho_d=5e-324, rho_s=1.0),
             detectors=(MRC,)))
         assert row["M_star"] is None
-        assert row["error"].startswith("exact: exact search reached K = 50")
+        assert row["error"].startswith(
+            "exact: k cap incumbent/rho_d overflows: supply k_max")
+
+    @pytest.mark.parametrize("rate, profile", [
+        (3e6, dict(alpha=2.0, rho_r=10.0, rho_d=0.1, rho_s=1.0)),
+        (1e8, dict(alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0))])
+    def test_large_rates_follow_the_relaxed_optimum(self, rate, profile):
+        # the paper's R -> inf regime, past the earlier 10 000 000-K ceiling
+        theta = PowerProfile(**profile).at_rate(rate)
+        relaxed = minimize_relaxed(theta, MRC)
+        start = time.perf_counter()
+        got = optimize_exact(theta, MRC, k_relaxed=relaxed.k_star)
+        assert time.perf_counter() - start < 5.0
+        assert got.zeta_star <= relaxed.zeta
+        assert abs(got.k_star - relaxed.k_star) <= 0.01 * relaxed.k_star
 
 
 class TestUnreachableRates:
@@ -566,8 +647,7 @@ class TestUnreachableRates:
 
     @pytest.mark.parametrize("det", [MRC, ZF])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 1.0 + 2e-16, 1.5, 1e3])
-    def test_early_stop_matches_the_full_scan(self, monkeypatch, det, scale):
-        monkeypatch.setattr("mimo_ee.integer_opt._K_CEILING", 50_000)
+    def test_early_stop_matches_the_full_scan(self, det, scale):
         theta = _theta(R=self.R_ZERO_GAIN * scale)
         try:
             want = _sequential_search(theta, det, k_max=50_000)
@@ -576,18 +656,13 @@ class TestUnreachableRates:
                 with pytest.raises(InfeasibleError, match=str(exc)):
                     optimize_exact(theta, det, k_max=k_max)
             return
-        assert optimize_exact(theta, det) == want
-        assert optimize_exact(theta, det, k_max=50_000) == want
+        assert _answer(optimize_exact(theta, det)) == _answer(want)
+        assert _answer(optimize_exact(theta, det, k_max=50_000)) == \
+            _answer(want)
 
     @pytest.mark.parametrize("rate", [1e-17, 1e-300])
     def test_unreachable_rate_stops_after_one_block(self, monkeypatch, rate):
-        calls = []
-
-        def counted(ks, theta, det):
-            calls.append(ks.size)
-            return _block_powers(ks, theta, det)
-
-        monkeypatch.setattr("mimo_ee.integer_opt._block_powers", counted)
+        calls = _counting_blocks(monkeypatch)
         for det in (MRC, ZF):
             calls.clear()
             with pytest.raises(InfeasibleError,
@@ -598,28 +673,39 @@ class TestUnreachableRates:
     @pytest.mark.parametrize("det", [MRC, ZF])
     @pytest.mark.parametrize("k_max", [None, 1, 10_000_000, 10 ** 30])
     def test_huge_rate_is_refused_at_once(self, det, k_max):
-        # 2^(R/K) overflows at every K up to R / 1024 = 1e297, so the scan
-        # has no K to evaluate below any ceiling
+        # 2^(R/K) overflows at every K up to R / 1024 = 1e297, so the
+        # search has no K below 2^53 to price
         start = time.perf_counter()
         with pytest.raises(InfeasibleError,
                            match="no integer design achieves the rate"):
             optimize_exact(_theta(R=1e300), det, k_max=k_max)
         assert time.perf_counter() - start < 0.1
 
+    def test_k_max_with_no_finite_power_is_infeasible(self):
+        # every K <= 8 has infinite MRC power; with no K from 2^53 on to
+        # certify, that is infeasible, as the one-K loop finds, not a
+        # refusal of K >= 2^53
+        theta = SystemParams(R=3047.260126688663, alpha=1.1097556158954283,
+                             rho_r=5.898908873084341, rho_d=57.29832792249938,
+                             rho_s=1.1967997696561243)
+        for search in (_sequential_search, optimize_exact):
+            with pytest.raises(InfeasibleError,
+                               match="no integer design achieves the rate"):
+                search(theta, MRC, k_max=8)
+
     @pytest.mark.parametrize("det", [MRC, ZF])
     def test_scan_starts_at_the_first_reachable_user_count(self, det):
-        # 2100 / K >= 1024 at K = 1 and 2, so the scan starts at K = 3; the
-        # one-K loop starts at 1 and must agree, search range included
+        # 2100 / K >= 1024 at K = 1 and 2, so the search starts at K = 3;
+        # the one-K loop starts at 1 and must agree
         theta = _theta(R=2100.0)
-        want = _sequential_search(theta, det)
-        assert want.k_range_searched[0] == 1
-        assert optimize_exact(theta, det) == want
+        got = optimize_exact(theta, det)
+        assert _answer(got) == _answer(_sequential_search(theta, det))
+        assert got.k_range_searched[0] == 3
 
 
 class TestRelaxedFirstBlock:
-    """k_relaxed only sizes the scan's first block: every Optimum field,
-    the searched range and the prune point included, stays the default
-    scan's, whatever the estimate."""
+    """k_relaxed only places the window priced first: every answer field
+    stays the default search's, whatever the estimate."""
 
     @staticmethod
     def _hints(k_ref):
@@ -629,7 +715,7 @@ class TestRelaxedFirstBlock:
         unreachable = _theta(R=TestUnreachableRates.R_ZERO_GAIN * 0.5)
         corpus = list(_reference_corpus())
         for det in (MRC, ZF):
-            corpus += [(_theta(R=2100.0), det, None),   # scan starts at K = 3
+            corpus += [(_theta(R=2100.0), det, None),   # search starts at K = 3
                        (_theta(R=2100.0), det, 40),
                        (unreachable, det, None), (unreachable, det, 5000)]
         for theta, det, k_max in corpus:
@@ -642,30 +728,30 @@ class TestRelaxedFirstBlock:
                                        k_relaxed=hint)
                 continue
             for hint in self._hints(float(want.k_star)):
-                assert optimize_exact(theta, det, k_max=k_max,
-                                      k_relaxed=hint) == want, \
-                    (theta, det, k_max, hint)
+                assert _answer(optimize_exact(
+                    theta, det, k_max=k_max, k_relaxed=hint)) == \
+                    _answer(want), (theta, det, k_max, hint)
 
     def test_first_block_sizes(self):
+        top = _K_EXACT - 1
         for det in (MRC, ZF):
-            assert _first_block(1, None, det) == _FIRST_BLOCK
-            assert _first_block(1, math.nan, det) == _FIRST_BLOCK
-            assert _first_block(1, math.inf, det) == _FIRST_BLOCK
-            assert _first_block(1, 1.7e308, det) == _LAST_BLOCK
-            assert _first_block(5000, 1.0, det) == 1
-        assert _first_block(1, 100.0, MRC) == 130 + 32
-        assert _first_block(3, 100.0, ZF) == 160 + 32 - 2
+            assert _window(1, top, None, det) == (1, _FIRST_BLOCK)
+            assert _window(1, top, math.nan, det) == (1, _FIRST_BLOCK)
+            assert _window(1, top, math.inf, det) == (1, _FIRST_BLOCK)
+            assert _window(1, top, 1.7e308, det) == (top - _LAST_BLOCK + 1,
+                                                     top)
+            assert _window(5000, top, 1.0, det) == (5000, 5000)
+            assert _window(1, 40, 1e12, det) == (1, 40)
+        assert _window(1, top, 100.0, MRC) == (1, 130 + 32)
+        assert _window(3, top, 100.0, ZF) == (3, 160 + 32)
+        # a far k* moves the window, which keeps the largest block's size
+        assert _window(1, top, 1e6, MRC) == (1_300_032 - _LAST_BLOCK + 1,
+                                             1_300_032)
 
     @pytest.mark.parametrize("det, rate", [(MRC, 140.0), (ZF, 500.0)])
     def test_a_hundred_users_take_one_short_block(self, monkeypatch, det,
                                                   rate):
-        sizes = []
-
-        def recorded(ks, theta, det):
-            sizes.append(ks.size)
-            return _block_powers(ks, theta, det)
-
-        monkeypatch.setattr("mimo_ee.integer_opt._block_powers", recorded)
+        sizes = _counting_blocks(monkeypatch)
         (row,) = sweep_records(SweepSpec(
             r_values=(rate,), theta_base=PowerProfile(
                 alpha=2.0, rho_r=1.0, rho_d=1.0, rho_s=1.0),

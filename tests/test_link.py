@@ -207,6 +207,18 @@ class TestSaturation:
         assert _exp2m1(self._X).tolist() == want
         assert _exp2m1(self._X[::-1]).tolist() == want[::-1]
 
+    def test_array_path_equals_scalar_path_bit_for_bit(self):
+        # numpy's float_power must call the C library's pow, as math.pow
+        # does; a numpy whose float_power rounds otherwise fails here
+        # rather than moving an optimum
+        rng = np.random.default_rng(29)
+        x = np.concatenate((
+            [0.0, 5e-324, 1e-17, 0.5, 1023.9999999, 1024.0, 1e308, math.inf],
+            2.0 ** rng.uniform(-60.0, 10.0, 100_000),
+            rng.uniform(0.0, 1024.0, 100_000)))
+        want = np.array([_exp2m1(v) for v in x.tolist()])
+        assert np.array_equal(_exp2m1(x).view(np.int64), want.view(np.int64))
+
     def test_exp2_saturates_instead_of_raising(self):
         assert _exp2m1(1023.9) < math.inf
         assert _exp2m1(1024.0) == math.inf

@@ -125,6 +125,15 @@ class TestDeterminism:
         assert res.bound_rate == 6.0
         assert 7.5 < res.empirical_rate < 8.0
 
+    def test_zf_simulates_wherever_its_closed_form_is_finite(self):
+        # g / [W^-1]_kk overflows at gamma = 1e307 while the closed form is
+        # 2044.8 bits; there the SINR's log is a difference of logs
+        cfg = McConfig(m=8, k=2, gamma=1e307, detector=ZF, trials=2000)
+        with np.errstate(all="raise"):
+            res = _simulate(cfg)
+        assert res.bound_rate == 2044.8337752622829
+        assert res.margin > 3.0 * res.ci_halfwidth
+
     def test_seed_changes_the_draws(self):
         a = _simulate(McConfig(m=8, k=2, gamma=0.2, detector=MRC,
                                trials=2000, seed=0))

@@ -884,9 +884,10 @@ class TestCli:
     @pytest.mark.parametrize("detector", ["mrc", "zf"])
     def test_rate_past_double_range_exits_3(self, capsys, tmp_path,
                                             detector):
-        # at gamma = 1.7e308 the closed-form rate overflows, and so does
-        # ZF's simulated rate; MRC's divides by gamma first and saturates
-        # near 7.87 bits. 1e300 still fits, so that point is tabulated
+        # at gamma = 1.7e308 the closed-form rate overflows; the simulated
+        # rates stay finite: MRC's divides by gamma first and saturates near
+        # 7.87 bits, and ZF's takes the log of an overflowing SINR as a
+        # difference of logs. 1e300 still fits, so that point is tabulated
         def point(gamma):
             return {"m": 8, "k": 2, "gamma": gamma, "detector": detector}
 
@@ -901,7 +902,8 @@ class TestCli:
         rc, out, err = validate(1e300, 1.7e308)
         assert rc == 3
         assert out == ""
-        simulated = {"mrc": "7.874037407771462", "zf": "inf"}[detector]
+        simulated = {"mrc": "7.874037407771462",
+                     "zf": "2053.2486564150063"}[detector]
         assert err == (
             "error: numeric: rate out of double range at m=8, k=2, "
             f"gamma=1.7e+308, {detector}: simulated {simulated}, "
@@ -913,6 +915,20 @@ class TestCli:
         assert all(math.isfinite(float(row[col]))
                    for col in ("empirical_rate", "ci_halfwidth",
                                "bound_rate", "margin"))
+
+    def test_zf_sinr_past_double_range_is_simulated(self, capsys, tmp_path):
+        # at gamma = 1e307 ZF's g / [W^-1]_kk overflows, and the point
+        # exits 0 where the closed form, 2044.8 bits, is finite
+        path = tmp_path / "zf.json"
+        path.write_text(json.dumps({"montecarlo": {"trials": 2000, "points": [
+            {"m": 8, "k": 2, "gamma": 1e307, "detector": "zf"}]}}))
+        with warnings.catch_warnings():   # a numpy warning fails the test
+            warnings.simplefilter("error")
+            rc, out, err = _run(capsys, "validate", "--config", str(path))
+        assert rc == 0 and err == ""
+        (row,) = csv.DictReader(out.splitlines())
+        assert float(row["bound_rate"]) == 2044.8337752622829
+        assert float(row["margin"]) > 3.0 * float(row["ci_halfwidth"])
 
     def test_bad_flag_exits_2(self, config_path):
         with pytest.raises(SystemExit) as exc:
