@@ -120,8 +120,8 @@ def _object(**fields) -> Callable:
     return read
 
 
-_BOTH = (Detector.MRC, Detector.ZF)
-_DETECTORS = (_array(_detector, null=_BOTH), _BOTH)   # null means both too
+# a key left out, and a null detectors list, read as the library's default
+_DETECTORS = (_array(_detector, null=SweepSpec.detectors), SweepSpec.detectors)
 
 # every top-level key of a config -> the reader of that section
 _SECTIONS = {
@@ -131,11 +131,11 @@ _SECTIONS = {
     "normalized": _object(**dict.fromkeys(
         ("alpha", "rho_r", "rho_d", "rho_s"), _number)),
     "sweep": _object(r_values=_array(_number), detectors=_DETECTORS,
-                     outputs=(_array(_string), ("exact", "relaxed")),
+                     outputs=(_array(_string), SweepSpec.outputs),
                      trajectory_c=(_number, None)),
     # a point's trials and seed, left out, are the section's
     "montecarlo": _object(
-        trials=(_integer, 100_000), seed=(_integer, 0),
+        trials=(_integer, McConfig.trials), seed=(_integer, McConfig.seed),
         points=_array(_object(m=_integer, k=_integer, gamma=_number,
                               detector=_detector, trials=(_integer, None),
                               seed=(_integer, None)))),

@@ -2,8 +2,9 @@
 
 Total normalized power at a design point splits into four parts: PA draw
 of the user terminals, BS antenna hardware, per-user circuitry, and a
-residual site overhead. The optimizers compare design points through this
-module only, so the decomposition is computed once and carried along.
+residual site overhead. The exact search prices integer designs with
+`_power_terms` and reports its winner through `evaluate_efficiency`; the
+relaxation ranks real designs by its own reduced objective.
 """
 
 from __future__ import annotations

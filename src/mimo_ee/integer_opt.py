@@ -24,14 +24,13 @@ from .units import SystemParams, _require_count
 
 # K are priced as doubles, which hold every integer below 2^53
 _K_EXACT = 2 ** 53
-# the window holds 512 K without a relaxed k* and at most 32 768 with one; a
-# leaf holds at most 512 K, so a pass of 64 pieces prices at most 32 768 K
-_FIRST_BLOCK, _LAST_BLOCK = 512, 32_768
-# with the relaxed k*, the window ends at ceil(reach k*) + 32, well past K*
-_RELAXED_REACH = {Detector.MRC: 1.3, Detector.ZF: 1.6}
 # a pass bounds the first 64 pieces of the queue and cuts each it keeps that
 # is no leaf into pieces of ratio 1.1, and into at least 16
 _PASS, _PIECE_RATIO, _SPLIT = 64, 1.1, 16
+# the window holds 512 K without a relaxed k* and at most 32 768 with one; a
+# leaf holds at most 512 K, so a pass of 64 pieces prices at most 32 768 K
+_FIRST_BLOCK = 512
+_LAST_BLOCK = _PASS * _FIRST_BLOCK
 # without k_max, a search is refused once it prices this many K: where the
 # best integer M lies far from the real one, the bound keeps huge ranges
 _PRICED_MAX = 10_000_000
@@ -142,14 +141,15 @@ def _interval_bound(lo: np.ndarray, hi: np.ndarray, theta: SystemParams,
     return bound * (1.0 - 1e-12)
 
 
-def _window(k_lo: int, k_top: int, k_relaxed: float | None,
-            det: Detector) -> tuple[int, int]:
+def _window(k_lo: int, k_top: int, k_relaxed: float | None) -> tuple[int, int]:
     """First and last K of the window, which the search prices first."""
     end = min(k_top, k_lo + _FIRST_BLOCK - 1)
-    if k_relaxed is not None and math.isfinite(k_relaxed):
-        # capped first, since ceil refuses the inf that reach k* may round to
+    # with the relaxed k*, it ends at ceil(1.3 k*) + 32, well past K*; k* is
+    # clamped to +-2^53 first, so the product is a double that ceil takes
+    # also where k* is an int with no double
+    if k_relaxed is not None and -math.inf < k_relaxed < math.inf:
         end = min(k_top, max(k_lo, 32 + math.ceil(
-            min(_RELAXED_REACH[det] * k_relaxed, _K_EXACT))))
+            1.3 * max(-_K_EXACT, min(k_relaxed, _K_EXACT)))))
     return max(k_lo, end - _LAST_BLOCK + 1), end
 
 
@@ -199,7 +199,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     k_lo = math.floor(theta.R / _EXP2_OVERFLOW) + 1
     k_top = min(k_max or _K_EXACT, _K_EXACT - 1)
     if k_lo <= k_top:
-        w_lo, w_hi = _window(k_lo, k_top, k_relaxed, det)
+        w_lo, w_hi = _window(k_lo, k_top, k_relaxed)
         best = _price(np.arange(w_lo, w_hi + 1.0), theta, det, (math.inf, 0, 0))
     # with no K to price, or 2^(R/K) - 1 = 0 at k_lo and so at every larger K
     if k_lo > k_top or not best[1] and _exp2m1(theta.R / k_lo) == 0.0:

@@ -16,18 +16,19 @@ Each off-diagonal entry is a pair of standard normals, real part first,
 scaled by sqrt(1/2).
 
 Determinism contract: work is partitioned into fixed-size slabs of
-trials, all run on one pool of `threads` workers (a single worker at
-threads=1); the thread count only decides which worker handles a slab,
-never where slab boundaries fall. Each slab reads two counter-based
-Philox streams keyed by the seed, one for the Gamma draws and one for
-the normals of L's off-diagonal entries; the stream kind and the slab
-index sit in the counter's high words. One stream read a chunk of
-Gamma draws, then a chunk of normals, at a time would give a trial
-other draws at another chunk size; two streams keep it out. Each
-stream is read in trial order, so results are bit-identical across
-runs, across thread counts, and between a config swept alone and one
-swept with others. A trial is addressed only through its slab: trial t
-of a slab depends on the draws of the trials before it.
+trials; each design group's slabs run on a pool of `threads` workers
+opened for that group (a single worker at threads=1). The thread count
+only decides which worker handles a slab, never where slab boundaries
+fall. Each slab reads two counter-based Philox streams keyed by the
+seed, one for the Gamma draws and one for the normals of L's
+off-diagonal entries; the stream kind and the slab index sit in the
+counter's high words. One stream read a chunk of Gamma draws, then a
+chunk of normals, at a time would give a trial other draws at another
+chunk size; two streams keep it out. Each stream is read in trial
+order, so results are bit-identical across runs, across thread counts,
+and between a config swept alone and one swept with others. A trial is
+addressed only through its slab: trial t of a slab depends on the draws
+of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
 complex matrices, which reuse the same buffers: the Gamma draws, L's

@@ -18,6 +18,7 @@ over [1, k_cap] returns instead. The grid finds k = 1 because it starts there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ class SolverDiag:
     """Where the 1-D solver looked and how hard it refined."""
 
     refine_iters: int   # zoom rounds after the logarithmic grid
-    bracket: tuple[float, float]   # logarithmic-grid neighbours of its winner
 
 
 @dataclass(frozen=True)
@@ -134,33 +134,28 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
         grid = _UNIT * math.log(k_cap)
         np.exp(grid, out=grid)
         grid[-1] = k_cap
-        values = _objective_grid(grid, theta, det)
-        best = int(values.argmin())  # first minimum wins: smaller k on ties
-        if not math.isfinite(values[best]):
-            raise InfeasibleError(
-                "power overflows double range over the whole k grid")
-        objective, k_star = float(values[best]), float(grid[best])
-        bracket = (float(grid[max(best - 1, 0)]),
-                   float(grid[min(best + 1, _GRID_POINTS - 1)]))
-
-        # zoom: a linear grid over the bracket, then over the bracket around
-        # its argmin, until the bracket is narrower than the tolerance; the
-        # running best only ever improves, so no round loses the coarse winner
-        lo, hi = bracket
-        rounds = 0
-        while hi - lo > _REL_TOL * max(1.0, hi):
+        # round 0 is the logarithmic grid; each later one is a linear grid
+        # over the bracket around the last argmin, until the bracket is
+        # narrower than the tolerance; the running best only ever improves,
+        # so no round loses the coarse winner
+        objective = math.inf
+        for rounds in itertools.count():
+            values = _objective_grid(grid, theta, det)
+            best = int(values.argmin())  # on ties the first, smaller k wins
+            if values[best] < objective:
+                objective, k_star = float(values[best]), float(grid[best])
+            if objective == math.inf:
+                raise InfeasibleError(
+                    "power overflows double range over the whole k grid")
+            lo = float(grid[max(best - 1, 0)])
+            hi = float(grid[min(best + 1, grid.size - 1)])
+            if not hi - lo > _REL_TOL * max(1.0, hi):
+                break
             # hi <= 2 lo, so hi - lo is exact and the last point is hi itself
             grid = _ZOOM_UNIT * (hi - lo)
             grid += lo
-            values = _objective_grid(grid, theta, det)
-            best = int(values.argmin())
-            if values[best] < objective:
-                objective, k_star = float(values[best]), float(grid[best])
-            lo = float(grid[max(best - 1, 0)])
-            hi = float(grid[min(best + 1, _ZOOM_POINTS - 1)])
-            rounds += 1
 
     return RelaxedOptimum(
         k_star=k_star, m_star=optimal_m(theta, k_star, det),
         zeta=theta.R / objective, objective=objective, detector=det,
-        solver_diag=SolverDiag(refine_iters=rounds, bracket=bracket))
+        solver_diag=SolverDiag(refine_iters=rounds))

@@ -1,5 +1,6 @@
 """Integer (M, K) optimizer: brute-force agreement, frozen cases, pruning."""
 
+import contextlib
 import math
 import sys
 import time
@@ -414,25 +415,31 @@ def _answer(opt):
     return opt.m_star, opt.k_star, opt.zeta_star, opt.report, opt.detector
 
 
+def _drawn_design(rng, i, log_r_max=3.5):
+    """Seeded design i and its k_max: uncapped, capped where i % 3 == 1,
+    or with costly antennas where i % 3 == 2; R up to 10^log_r_max."""
+    k_max = None
+    rho_r, rho_d = (float(10.0 ** rng.uniform(-1, 1)) for _ in range(2))
+    if i % 3 == 1:
+        k_max = int(rng.integers(1, 60))
+    elif i % 3 == 2:
+        # costly antennas push M onto the MRC feasibility boundary
+        log_rho_r = float(rng.uniform(0, 6))
+        rho_r = 10.0 ** log_rho_r
+        rho_d = float(10.0 ** rng.uniform(log_rho_r - 2, log_rho_r + 1))
+    return SystemParams(
+        R=float(10.0 ** rng.uniform(0, log_r_max)),
+        alpha=float(rng.uniform(1.05, 4.0)), rho_r=rho_r, rho_d=rho_d,
+        rho_s=float(10.0 ** rng.uniform(-1, 1))), k_max
+
+
 def _reference_corpus():
     """Seeded designs: uncapped, capped, rho_d = 0 with a cap, extremes."""
     rng = np.random.default_rng(20)
     cases = []
     for i in range(90):
-        k_max = None
-        rho_r, rho_d = (float(10.0 ** rng.uniform(-1, 1)) for _ in range(2))
-        if i % 3 == 1:
-            k_max = int(rng.integers(1, 60))
-        elif i % 3 == 2:
-            # costly antennas push M onto the MRC feasibility boundary
-            log_rho_r = float(rng.uniform(0, 6))
-            rho_r = 10.0 ** log_rho_r
-            rho_d = float(10.0 ** rng.uniform(log_rho_r - 2, log_rho_r + 1))
-        cases.append((SystemParams(
-            R=float(10.0 ** rng.uniform(0, 3.5)),
-            alpha=float(rng.uniform(1.05, 4.0)), rho_r=rho_r, rho_d=rho_d,
-            rho_s=float(10.0 ** rng.uniform(-1, 1))),
-            MRC if i % 2 else ZF, k_max))
+        theta, k_max = _drawn_design(rng, i)
+        cases.append((theta, MRC if i % 2 else ZF, k_max))
     for i in range(10):
         cases.append((_theta(R=float(rng.integers(1, 3000)), rho_d=0.0),
                       MRC if i % 2 else ZF, int(rng.integers(1, 2000))))
@@ -709,7 +716,8 @@ class TestRelaxedFirstBlock:
 
     @staticmethod
     def _hints(k_ref):
-        return (1, 0.5 * k_ref, k_ref, 10 * k_ref, 1e12, math.nan, math.inf)
+        return (1, 0.5 * k_ref, k_ref, 10 * k_ref, 1e12, math.nan, math.inf,
+                10 ** 400)
 
     def test_any_estimate_gives_the_default_answer(self):
         unreachable = _theta(R=TestUnreachableRates.R_ZERO_GAIN * 0.5)
@@ -734,19 +742,36 @@ class TestRelaxedFirstBlock:
 
     def test_first_block_sizes(self):
         top = _K_EXACT - 1
-        for det in (MRC, ZF):
-            assert _window(1, top, None, det) == (1, _FIRST_BLOCK)
-            assert _window(1, top, math.nan, det) == (1, _FIRST_BLOCK)
-            assert _window(1, top, math.inf, det) == (1, _FIRST_BLOCK)
-            assert _window(1, top, 1.7e308, det) == (top - _LAST_BLOCK + 1,
-                                                     top)
-            assert _window(5000, top, 1.0, det) == (5000, 5000)
-            assert _window(1, 40, 1e12, det) == (1, 40)
-        assert _window(1, top, 100.0, MRC) == (1, 130 + 32)
-        assert _window(3, top, 100.0, ZF) == (3, 160 + 32)
+        assert _window(1, top, None) == (1, _FIRST_BLOCK)
+        assert _window(1, top, math.nan) == (1, _FIRST_BLOCK)
+        assert _window(1, top, math.inf) == (1, _FIRST_BLOCK)
+        for far in (1.7e308, 10 ** 400):
+            assert _window(1, top, far) == (top - _LAST_BLOCK + 1, top)
+        for near in (1.0, -1.7e308, -10 ** 400):
+            assert _window(5000, top, near) == (5000, 5000)
+        assert _window(1, 40, 1e12) == (1, 40)
+        assert _window(1, top, 100.0) == (1, 130 + 32)
+        assert _window(3, top, 100.0) == (3, 130 + 32)
         # a far k* moves the window, which keeps the largest block's size
-        assert _window(1, top, 1e6, MRC) == (1_300_032 - _LAST_BLOCK + 1,
-                                             1_300_032)
+        assert _window(1, top, 1e6) == (1_300_032 - _LAST_BLOCK + 1,
+                                        1_300_032)
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_the_relaxed_k_star_prices_one_window(self, monkeypatch, det):
+        # what lets both detectors share one reach: given the relaxed k*, the
+        # bound excludes every K outside the window, which holds K*
+        sizes = _counting_blocks(monkeypatch)
+        rng = np.random.default_rng(30)
+        for i in range(600):
+            theta, k_max = _drawn_design(rng, i, log_r_max=4.0)
+            try:
+                k_relaxed = minimize_relaxed(theta, det, k_max=k_max).k_star
+            except InfeasibleError:   # no k up to k_max reaches the rate
+                continue
+            sizes.clear()
+            with contextlib.suppress(InfeasibleError):
+                optimize_exact(theta, det, k_max=k_max, k_relaxed=k_relaxed)
+            assert len(sizes) == 1, (theta, det, k_max, sizes)
 
     @pytest.mark.parametrize("det, rate", [(MRC, 140.0), (ZF, 500.0)])
     def test_a_hundred_users_take_one_short_block(self, monkeypatch, det,
