@@ -31,6 +31,8 @@ _PASS, _PIECE_RATIO, _SPLIT = 64, 1.1, 16
 # leaf holds at most 512 K, so a pass of 64 pieces prices at most 32 768 K
 _FIRST_BLOCK = 512
 _LAST_BLOCK = _PASS * _FIRST_BLOCK
+# with the relaxed k*, the window ends at ceil(reach k*) + 32, well past K*
+_RELAXED_REACH = {Detector.MRC: 1.3, Detector.ZF: 1.6}
 # without k_max, a search is refused once it prices this many K: where the
 # best integer M lies far from the real one, the bound keeps huge ranges
 _PRICED_MAX = 10_000_000
@@ -141,15 +143,15 @@ def _interval_bound(lo: np.ndarray, hi: np.ndarray, theta: SystemParams,
     return bound * (1.0 - 1e-12)
 
 
-def _window(k_lo: int, k_top: int, k_relaxed: float | None) -> tuple[int, int]:
+def _window(k_lo: int, k_top: int, k_relaxed: float | None,
+            det: Detector) -> tuple[int, int]:
     """First and last K of the window, which the search prices first."""
     end = min(k_top, k_lo + _FIRST_BLOCK - 1)
-    # with the relaxed k*, it ends at ceil(1.3 k*) + 32, well past K*; k* is
-    # clamped to +-2^53 first, so the product is a double that ceil takes
-    # also where k* is an int with no double
+    # k* is clamped to +-2^53 first, so the product is a double that ceil
+    # takes also where k* is an int with no double
     if k_relaxed is not None and -math.inf < k_relaxed < math.inf:
         end = min(k_top, max(k_lo, 32 + math.ceil(
-            1.3 * max(-_K_EXACT, min(k_relaxed, _K_EXACT)))))
+            _RELAXED_REACH[det] * max(-_K_EXACT, min(k_relaxed, _K_EXACT)))))
     return max(k_lo, end - _LAST_BLOCK + 1), end
 
 
@@ -199,7 +201,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
     k_lo = math.floor(theta.R / _EXP2_OVERFLOW) + 1
     k_top = min(k_max or _K_EXACT, _K_EXACT - 1)
     if k_lo <= k_top:
-        w_lo, w_hi = _window(k_lo, k_top, k_relaxed)
+        w_lo, w_hi = _window(k_lo, k_top, k_relaxed, det)
         best = _price(np.arange(w_lo, w_hi + 1.0), theta, det, (math.inf, 0, 0))
     # with no K to price, or 2^(R/K) - 1 = 0 at k_lo and so at every larger K
     if k_lo > k_top or not best[1] and _exp2m1(theta.R / k_lo) == 0.0:

@@ -742,24 +742,26 @@ class TestRelaxedFirstBlock:
 
     def test_first_block_sizes(self):
         top = _K_EXACT - 1
-        assert _window(1, top, None) == (1, _FIRST_BLOCK)
-        assert _window(1, top, math.nan) == (1, _FIRST_BLOCK)
-        assert _window(1, top, math.inf) == (1, _FIRST_BLOCK)
-        for far in (1.7e308, 10 ** 400):
-            assert _window(1, top, far) == (top - _LAST_BLOCK + 1, top)
-        for near in (1.0, -1.7e308, -10 ** 400):
-            assert _window(5000, top, near) == (5000, 5000)
-        assert _window(1, 40, 1e12) == (1, 40)
-        assert _window(1, top, 100.0) == (1, 130 + 32)
-        assert _window(3, top, 100.0) == (3, 130 + 32)
+        for det in (MRC, ZF):
+            assert _window(1, top, None, det) == (1, _FIRST_BLOCK)
+            assert _window(1, top, math.nan, det) == (1, _FIRST_BLOCK)
+            assert _window(1, top, math.inf, det) == (1, _FIRST_BLOCK)
+            for far in (1.7e308, 10 ** 400):
+                assert _window(1, top, far, det) == (top - _LAST_BLOCK + 1,
+                                                     top)
+            for near in (1.0, -1.7e308, -10 ** 400):
+                assert _window(5000, top, near, det) == (5000, 5000)
+            assert _window(1, 40, 1e12, det) == (1, 40)
+        assert _window(1, top, 100.0, MRC) == (1, 130 + 32)
+        assert _window(3, top, 100.0, ZF) == (3, 160 + 32)
         # a far k* moves the window, which keeps the largest block's size
-        assert _window(1, top, 1e6) == (1_300_032 - _LAST_BLOCK + 1,
-                                        1_300_032)
+        assert _window(1, top, 1e6, MRC) == (1_300_032 - _LAST_BLOCK + 1,
+                                             1_300_032)
 
     @pytest.mark.parametrize("det", [MRC, ZF])
     def test_the_relaxed_k_star_prices_one_window(self, monkeypatch, det):
-        # what lets both detectors share one reach: given the relaxed k*, the
-        # bound excludes every K outside the window, which holds K*
+        # given the relaxed k*, the window that the detector's reach places
+        # holds K*, and the bound excludes every K outside it
         sizes = _counting_blocks(monkeypatch)
         rng = np.random.default_rng(30)
         for i in range(600):
