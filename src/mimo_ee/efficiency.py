@@ -63,8 +63,5 @@ def evaluate_efficiency(cfg: AntennaConfig, theta: SystemParams,
         raise EfficiencyRangeError(
             f"zeta out of double range at M={cfg.M}, K={cfg.K}: "
             f"total power {total!r}")
-    return EfficiencyReport(zeta=zeta, power_pa=power_pa,
-                            power_bs_antennas=power_bs,
-                            power_user_circuits=power_users,
-                            power_residual=power_residual,
-                            pa_fraction=power_pa / total)
+    return EfficiencyReport(zeta, power_pa, power_bs, power_users,
+                            power_residual, pa_fraction=power_pa / total)

@@ -19,7 +19,7 @@ import numpy as np
 from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
 from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
                    _exp2m1, _headroom, _interference)
-from .relaxation import _require_inputs
+from .relaxation import _require_inputs, optimal_m
 from .units import SystemParams, _require_count
 
 # K are priced as doubles, which hold every integer below 2^53
@@ -36,7 +36,6 @@ _RELAXED_REACH = {Detector.MRC: 1.3, Detector.ZF: 1.6}
 # without k_max, a search is refused once it prices this many K: where the
 # best integer M lies far from the real one, the bound keeps huge ranges
 _PRICED_MAX = 10_000_000
-_NO_DESIGN = "no integer design achieves the rate with finite power"
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,18 @@ def _price(ks: np.ndarray, theta: SystemParams, det: Detector,
     return best
 
 
+def _no_design(k: int, theta: SystemParams, det: Detector) -> str:
+    """The refusal where no K up to k has a finite priced power. If k's M,
+    at least floor(I) + 2 and at the real 1 + I + surplus, rounds to a
+    headroom M - 1 - I of 0, M is past 2^52 surplus: a finite, unpriced power."""
+    i = _interference(float(k), _exp2m1(theta.R / k), det)
+    m = max(math.floor(i) + 2.0, optimal_m(theta, k, det)) if i < math.inf else i
+    if _headroom(m, k, i, det) != 0.0:
+        return "no integer design achieves the rate with finite power"
+    return ("no integer design achieves the rate with a power a double can "
+            f"price: at K = {k}, M is past 2^52 times its surplus M - 1 - I")
+
+
 def optimize_exact(theta: SystemParams, det: Detector, *,
                    k_max: int | None = None,
                    k_relaxed: float | None = None) -> Optimum:
@@ -205,7 +216,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
         best = _price(np.arange(w_lo, w_hi + 1.0), theta, det, (math.inf, 0, 0))
     # with no K to price, or 2^(R/K) - 1 = 0 at k_lo and so at every larger K
     if k_lo > k_top or not best[1] and _exp2m1(theta.R / k_lo) == 0.0:
-        raise InfeasibleError(_NO_DESIGN)
+        raise InfeasibleError(_no_design(k_top, theta, det))
 
     # each user adds at least rho_d, and under ZF an antenna too, so no K past
     # the cap beats the best power, roundings included (with none, 2^53 and on)
@@ -246,7 +257,7 @@ def optimize_exact(theta: SystemParams, det: Detector, *,
 
     _, k_star, m_star = best
     if not k_star:
-        raise InfeasibleError(_NO_DESIGN)
+        raise InfeasibleError(_no_design(k_top, theta, det))
     report = evaluate_efficiency(AntennaConfig(M=m_star, K=k_star), theta, det)
     return Optimum(m_star=m_star, k_star=k_star, zeta_star=report.zeta,
                    report=report, detector=det, k_range_searched=(first, last),

@@ -6,9 +6,10 @@ algebraic inverses of the SNR expressions used here.
 
 The detectors differ only in the interference I, (K - 1) e for MRC with
 e = 2^(R/K) - 1 and K - 1 for ZF: a design needs M - 1 > I, its SNR is
-e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF. Every
-integer design forms e by `_exp2m1`, the one 2^x - 1 of the package; only
-the relaxed grid forms it by expm1.
+e / (M - 1 - I), and its least M is floor(I) + 2, K + 1 for ZF. The
+relaxation follows the same rule: its objective names the detector only
+through I. Every integer design forms e by `_exp2m1`, the one 2^x - 1 of
+the package; only the relaxed grid forms it by expm1.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
 complex matrices, which reuse the same buffers: the Gamma draws, L's
-off-diagonal entries, L, its conjugate, the Gram matrices
-and, for ZF, L's inverse, built by forward substitution. Every stage,
+off-diagonal entries, L, its conjugate, the Gram matrices, their squared
+moduli and, for ZF, L's inverse, built by forward substitution. Every stage,
 from the draw to the rates, one broadcast per detector over its configs'
 SNRs into a (configs, trials) array, runs on one chunk at a time. A
 chunk only bounds how many trials are handled at once; it never moves a
@@ -121,14 +121,16 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     r = min(m, k)
     shape = m - np.arange(r)                   # L_ii^2 ~ Gamma(m - i), i from 0
     diag = np.arange(r)
-    rows, cols = np.tril_indices(k, -1, r)     # L's CN(0, 1) entries
+    # L's CN(0, 1) entries by rows: row i takes z's ends[i - 1]:ends[i]
+    ends = np.minimum(np.arange(k), r).cumsum()
     # a trial's Gram takes k^2 complex doubles, 16 k^2 bytes
     chunk = min(n, max(1, _CHUNK_BYTES // (16 * k * k)))
     draws = np.empty((chunk, r))
-    z = np.empty((chunk, rows.size), dtype=np.complex128)
+    z = np.empty((chunk, ends[-1]), dtype=np.complex128)
     factor = np.zeros((chunk, k, r), dtype=np.complex128)
     factor_conj = np.empty_like(factor)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
+    square, square_im = np.empty((2, chunk, k, k))   # |x|^2 = re^2 + im^2
     mrc, zf = gammas.get(Detector.MRC), gammas.get(Detector.ZF)
     if zf is not None:     # only the lower triangle is ever written
         inv_buf = np.zeros((chunk, k, k), dtype=np.complex128)
@@ -144,14 +146,17 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
             parts = z[:c].view(np.float64)      # (re, im) of each entry in turn
             normals.standard_normal(out=parts)
             parts *= _SQRT_HALF
-            lower[:, rows, cols] = z[:c]
+            for i in range(1, k):
+                lower[:, i, :min(i, r)] = z[:c, ends[i - 1]:ends[i]]
 
             if mrc is not None:
                 np.conjugate(lower, out=factor_conj[:c])
                 gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
                                  out=gram_buf[:c])
                 d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
-                row_power = (gram.real ** 2 + gram.imag ** 2).sum(axis=2)
+                row_power = np.add(np.square(gram.real, out=square[:c]),
+                                   np.square(gram.imag, out=square_im[:c]),
+                                   out=square[:c]).sum(axis=2)
                 cross = row_power - d * d                         # interference power
                 g = mrc[:, None, None]                            # one SNR per row
                 # SINR g d^2 / (g cross + d), divided by g first: g d^2
@@ -169,7 +174,9 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                     np.matmul(lower[:, i, None, :i], inv[:, :i, :i],
                               out=inv[:, i, None, :i])
                     inv[:, i, :i] *= -inv_diag[:, i, None]
-                diag_inv = (inv.real ** 2 + inv.imag ** 2).sum(axis=1)
+                diag_inv = np.add(np.square(inv.real, out=square[:c]),
+                                  np.square(inv.imag, out=square_im[:c]),
+                                  out=square[:c]).sum(axis=1)
                 rate = np.log2(1.0 + zf[:, None, None] / diag_inv)
                 # the rate is inf only where g / diag_inv overflows; there
                 # log2(SINR) is a log difference

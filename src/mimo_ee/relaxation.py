@@ -64,22 +64,18 @@ def _objective_grid(k: np.ndarray, theta: SystemParams,
     """Reduced power objective on an ascending array of k values; overflow
     maps to +inf. Callers hold np.errstate(over="ignore", invalid="ignore")."""
     e = np.expm1((theta.R * math.log(2.0)) / k)
-    # one fixed order per detector, ZF h + k (rho_r + rho_d) + rho_s and
-    # MRC h + rho_r + rho_s + k rho_d + rho_r I (not ZF's with I = k - 1)
+    # one order, h + rho_r + rho_s + k rho_d + rho_r I, so the detectors
+    # differ only in I, and at k = 1 (I = 0) they price one design alike
     total = np.sqrt((theta.alpha * theta.rho_r) * k * e)
     total *= 2.0  # h = 2 sqrt(alpha rho_r k e)
-    if det is Detector.ZF:
-        total += k * (theta.rho_r + theta.rho_d)
-        total += theta.rho_s
-    else:
-        total += theta.rho_r
-        total += theta.rho_s
-        total += k * theta.rho_d
-        total += theta.rho_r * _interference(k, e, det)
-    # terms are >= 0, so a total that is not finite is inf or nan, and a nan
-    # needs 0 * inf: MRC's (k - 1) e at k = 1 with e = inf, or an overflowed
-    # alpha rho_r k times e = 0, which is e's least value, at the largest k
-    if (k[0] == 1.0 and det is Detector.MRC) or e[-1] == 0.0:
+    total += theta.rho_r
+    total += theta.rho_s
+    total += k * theta.rho_d
+    total += theta.rho_r * _interference(k, e, det)
+    # terms are >= 0, so a total that is not finite is inf or nan; a nan is
+    # 0 * inf: MRC's (k - 1) e at k = 1, the least k, with e = inf, or an
+    # overflowed alpha rho_r k times e = 0, e's least value, at the largest k
+    if total[0] != total[0] or e[-1] == 0.0:
         total[np.isnan(total)] = np.inf
     return total
 

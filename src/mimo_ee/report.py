@@ -116,9 +116,8 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
 
     rows = []
     for det in spec.detectors:
-        row: dict[str, object] = {c: None for c in sweep_columns(spec)}
-        row["R"] = rate
-        row["detector"] = det
+        row = {**dict.fromkeys(sweep_columns(spec)), "R": rate,
+               "detector": det}
         errors: list[str] = []
 
         exact = None
@@ -130,13 +129,12 @@ def _rows_for_rate(rate: float, spec: SweepSpec) -> list[dict]:
             except _ROW_ERRORS as exc:
                 errors.append(f"exact: {exc}")
         if exact is not None and "exact" in spec.outputs:
-            row["M_star"] = exact.m_star
-            row["K_star"] = exact.k_star
-            row["zeta_star"] = exact.zeta_star
-            row["power_pa"] = exact.report.power_pa
-            row["power_bs"] = exact.report.power_bs_antennas
-            row["power_users"] = exact.report.power_user_circuits
-            row["power_residual"] = exact.report.power_residual
+            budget = exact.report
+            row.update(M_star=exact.m_star, K_star=exact.k_star,
+                       zeta_star=exact.zeta_star, power_pa=budget.power_pa,
+                       power_bs=budget.power_bs_antennas,
+                       power_users=budget.power_user_circuits,
+                       power_residual=budget.power_residual)
         if exact is not None and "pa_fraction" in spec.outputs:
             row["pa_fraction"] = exact.report.pa_fraction
 
@@ -179,14 +177,8 @@ def validation_records(configs: Sequence[McConfig], *,
         raise ValueError("validation needs at least one config")
     rows = []
     for cfg, res in bound_gap_sweep(configs, threads=threads):
-        rows.append({
-            "m": cfg.m, "k": cfg.k, "gamma": cfg.gamma,
-            "detector": cfg.detector, "trials": cfg.trials, "seed": cfg.seed,
-            "empirical_rate": res.empirical_rate,
-            "ci_halfwidth": res.ci_halfwidth,
-            "bound_rate": res.bound_rate,
-            "margin": res.margin,
-        })
+        fields = {**vars(cfg), **vars(res)}
+        rows.append({col: fields[col] for col in VALIDATION_COLUMNS})
     return rows
 
 
@@ -196,8 +188,7 @@ def trajectory_records(spec: TrajectorySpec,
     limit = trajectory_limit(spec)
     rows = []
     for rate in rates:
-        row: dict[str, object] = {c: None for c in TRAJECTORY_COLUMNS}
-        row["zeta_limit"] = limit
+        row = {**dict.fromkeys(TRAJECTORY_COLUMNS), "zeta_limit": limit}
         try:   # a bool or an int with no double is refused here, naming R
             point = trajectory_point(spec, rate)
             row.update(k=point.k, m=point.m, zeta=point.zeta)
@@ -211,13 +202,9 @@ def trajectory_records(spec: TrajectorySpec,
 
 def threshold_record(theta: SystemParams) -> dict:
     """Rate thresholds for theta plus the capped-efficiency verdict at theta.R."""
-    row: dict[str, object] = {c: None for c in THRESHOLD_COLUMNS}
-    row.update(R=theta.R, alpha=theta.alpha, rho_r=theta.rho_r,
-               rho_d=theta.rho_d, rho_s=theta.rho_s)
+    row = {**dict.fromkeys(THRESHOLD_COLUMNS), **vars(theta)}
     try:
-        t = rate_thresholds(theta)
-        row["r1"] = t.r1
-        row["r2"] = t.r2
+        row.update(vars(rate_thresholds(theta)))
         row["bound_holds"] = mrc_upper_bound_check(theta)
     except _ROW_ERRORS as exc:
         row[ERROR_COLUMN] = f"thresholds: {exc}"

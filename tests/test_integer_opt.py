@@ -700,6 +700,24 @@ class TestUnreachableRates:
                                match="no integer design achieves the rate"):
                 search(theta, MRC, k_max=8)
 
+    def test_unpriceable_headroom_is_refused_by_its_cause(self):
+        # at 296 bits per user I = (K - 1) e passes 2^52 times the surplus at
+        # every K <= 5, so the M priced rounds to a headroom M - 1 - I of 0,
+        # though the power is finite: the relaxation prices zeta = 3.03e-87
+        theta = SystemParams(R=1480.1009878050186, alpha=2.6633416661274714,
+                             rho_r=0.9465874706940952,
+                             rho_d=2.400727791314941,
+                             rho_s=0.12021406948212582)
+        assert minimize_relaxed(theta, MRC, k_max=5).zeta == \
+            pytest.approx(3.03e-87, rel=1e-2)
+        with pytest.raises(InfeasibleError) as refused:
+            optimize_exact(theta, MRC, k_max=5)
+        assert str(refused.value) == (
+            "no integer design achieves the rate with a power a double can "
+            "price: at K = 5, M is past 2^52 times its surplus M - 1 - I")
+        # ZF's least M, K + 1, keeps a headroom of 1, and ZF finds a design
+        assert optimize_exact(theta, ZF, k_max=5).k_star == 5
+
     @pytest.mark.parametrize("det", [MRC, ZF])
     def test_scan_starts_at_the_first_reachable_user_count(self, det):
         # 2100 / K >= 1024 at K = 1 and 2, so the search starts at K = 3;

@@ -100,9 +100,9 @@ class TestReducedPower:
         assert _reduced_power(2.0, theta, ZF) == pytest.approx(expect, rel=1e-14)
 
     def test_summation_order_bit_for_bit(self):
-        # each detector keeps its own order of the sum and e = 2^(R/k) - 1
-        # is expm1(R ln2 / k), so the relaxed bytes do not move; approx
-        # would hide a reordering
+        # both detectors sum in one order and differ only in I, (k - 1) e
+        # for MRC and k - 1 for ZF; e = 2^(R/k) - 1 is expm1(R ln2 / k), so
+        # the relaxed bytes do not move; approx would hide a reordering
         rng = np.random.default_rng(17)
         for _ in range(500):
             R, rho_r, rho_d, rho_s = 10.0 ** rng.uniform(-2, 3, 4)
@@ -111,11 +111,24 @@ class TestReducedPower:
             k = np.float64(10.0 ** rng.uniform(0, 4))
             e = np.expm1((theta.R * math.log(2.0)) / k)
             h = 2.0 * np.sqrt(theta.alpha * theta.rho_r * k * e)
-            zf = h + k * (theta.rho_r + theta.rho_d) + theta.rho_s
-            mrc = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
-                   + theta.rho_r * ((k - 1.0) * e))
-            assert _reduced_power(float(k), theta, ZF) == zf
-            assert _reduced_power(float(k), theta, MRC) == mrc
+            for det, interference in ((MRC, (k - 1.0) * e), (ZF, k - 1.0)):
+                want = (h + theta.rho_r + theta.rho_s + k * theta.rho_d
+                        + theta.rho_r * interference)
+                assert _reduced_power(float(k), theta, det) == want
+
+    def test_one_user_is_one_design_for_both_detectors(self):
+        # at k = 1 the interference is 0 for both, so both price the same
+        # bits, also where 2^R overflows and MRC's (k - 1) e is 0 * inf
+        rng = np.random.default_rng(31)
+        rates = np.concatenate([10.0 ** rng.uniform(-3, 3, 400),
+                                rng.uniform(1024.0, 1e6, 100)])
+        for R in rates:
+            alpha, rho_r, rho_d, rho_s = 10.0 ** rng.uniform(-2, 2, 4)
+            theta = _theta(R=float(R), alpha=1.0 + alpha, rho_r=rho_r,
+                           rho_d=rho_d, rho_s=rho_s)
+            mrc = _reduced_power(1.0, theta, MRC)
+            assert mrc == _reduced_power(1.0, theta, ZF)
+            assert math.isinf(mrc) == (R >= 1024.0)
 
     @staticmethod
     def _decimal_objective(k, theta, det):

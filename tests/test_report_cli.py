@@ -154,6 +154,22 @@ class TestSweepRecords:
                 minimize_relaxed(theta, MRC, k_max=k_max).zeta
                 < minimize_relaxed(theta, ZF, k_max=k_max).zeta)
 
+    def test_one_user_optima_do_not_compare(self):
+        # both relaxed k* are 1 on this profile, where MRC and ZF are one
+        # design, so MRC is never less efficient; summed in two orders, the
+        # column read true at R = 0.422, 0.75 and 1.0
+        spec = SweepSpec(
+            r_values=(0.316, 0.422, 0.562, 0.75, 1.0, 1.334),
+            theta_base=_profile(alpha=2.09, rho_r=1.226, rho_d=0.549,
+                                rho_s=1.614),
+            outputs=frozenset({"relaxed", "comparison"}))
+        records = sweep_records(spec)
+        assert len(records) == 12
+        for row in records:
+            assert row["relaxed_mrc_less_than_zf"] is False
+        for mrc, zf in zip(records[::2], records[1::2]):
+            assert mrc["zeta_relaxed"] == zf["zeta_relaxed"]
+
     def test_unreachable_rate_becomes_a_row_error(self):
         spec = _spec(r_values=(2000.0,), k_max=1)
         for row in sweep_records(spec):
@@ -716,6 +732,24 @@ class TestCli:
         assert rc == 3
         assert err.startswith("error: numeric: ")
         assert out.startswith("R,detector,")  # table still emitted
+
+    def test_unpriceable_headroom_exits_3(self, capsys, tmp_path):
+        # no M up to K = 5 prices as a double; the refusal names that cause
+        cfg = {"normalized": {"alpha": 2.6633416661274714,
+                              "rho_r": 0.9465874706940952,
+                              "rho_d": 2.400727791314941,
+                              "rho_s": 0.12021406948212582},
+               "optimize": {"R": 1480.1009878050186, "detectors": ["mrc"]}}
+        path = tmp_path / "unpriced.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = _run(capsys, "optimize", "--config", str(path),
+                            "--k-max", "5")
+        assert rc == 3
+        assert err.startswith("error: numeric: exact: no integer design "
+                              "achieves the rate with a power a double can "
+                              "price: at K = 5")
+        assert err.count("\n") == 1
+        assert out.startswith("R,detector,")
 
     def test_unmet_hypotheses_exit_3_but_emit_table(self, capsys, tmp_path):
         # R = 5 is below max(r1, r2) at this profile: thresholds are
