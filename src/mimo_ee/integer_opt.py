@@ -159,13 +159,15 @@ def _split(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     least 16; however the cuts round, the nonempty pieces cover it exactly."""
     if not lo.size:
         return lo, hi
-    n = max(_SPLIT, math.ceil(math.log(((hi + 1.0) / lo).max(), _PIECE_RATIO)))
-    cuts = np.floor(lo[:, None] * ((hi + 1.0) / lo)[:, None]
-                    ** (np.arange(n + 1) / n))
-    np.minimum(cuts, (hi + 1.0)[:, None], out=cuts)
-    cuts[:, -1] = hi + 1.0
+    end = hi + 1.0
+    ratio = end / lo
+    n = max(_SPLIT, math.ceil(math.log(ratio.max(), _PIECE_RATIO)))
+    cuts = np.floor(lo[:, None] * ratio[:, None] ** (np.arange(n + 1) / n))
+    np.minimum(cuts, end[:, None], out=cuts)
+    cuts[:, -1] = end
     starts, ends = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1.0
-    return starts[starts <= ends], ends[starts <= ends]
+    keep = starts <= ends
+    return starts[keep], ends[keep]
 
 
 def _price(ks: np.ndarray, theta: SystemParams, det: Detector,

@@ -13,11 +13,12 @@ L_ii = sqrt(Gamma(m - i + 1, 1)) on the diagonal and L_ij ~ CN(0, 1)
 below it. That takes k (k + 1) / 2 variates a trial instead of m k, and
 L_ii > 0, so ZF's factor is never singular and nothing is redrawn.
 Each off-diagonal entry is a pair of standard normals, real part first,
-scaled by sqrt(1/2).
+scaled by sqrt(1/2); one index table places them in L row by row, in the
+order the stream is read.
 
 Determinism contract: work is partitioned into fixed-size slabs of
-trials; each design group's slabs run on a pool of `threads` workers
-opened for that group (a single worker at threads=1). The thread count
+trials; every slab of a `bound_gap_sweep` call runs on the one pool of
+`threads` workers it opens (a single worker at threads=1). The thread count
 only decides which worker handles a slab, never where slab boundaries
 fall. Each slab reads two counter-based Philox streams keyed by the
 seed, one for the Gamma draws and one for the normals of L's
@@ -31,9 +32,9 @@ addressed only through its slab: trial t of a slab depends on the draws
 of the trials before it.
 
 Inside a slab, trials stream through chunks of 512 KiB of (k, k)
-complex matrices, which reuse the same buffers: the Gamma draws, L's
-off-diagonal entries, L, its conjugate, the Gram matrices, their squared
-moduli and, for ZF, L's inverse, built by forward substitution. Every stage,
+complex matrices, which reuse the same buffers: L's off-diagonal
+entries, L, the Gram matrices, their squared moduli and, for ZF, L's
+inverse, built by forward substitution. Every stage,
 from the draw to the rates, one broadcast per detector over its configs'
 SNRs into a (configs, trials) array, runs on one chunk at a time. A
 chunk only bounds how many trials are handled at once; it never moves a
@@ -121,14 +122,12 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
     r = min(m, k)
     shape = m - np.arange(r)                   # L_ii^2 ~ Gamma(m - i), i from 0
     diag = np.arange(r)
-    # L's CN(0, 1) entries by rows: row i takes z's ends[i - 1]:ends[i]
-    ends = np.minimum(np.arange(k), r).cumsum()
+    below = np.tril_indices(k, -1, r)   # L's CN(0, 1) entries, row-major
     # a trial's Gram takes k^2 complex doubles, 16 k^2 bytes
     chunk = min(n, max(1, _CHUNK_BYTES // (16 * k * k)))
-    draws = np.empty((chunk, r))
-    z = np.empty((chunk, ends[-1]), dtype=np.complex128)
+    # reused chunk buffers: plain expressions give the same bytes, 8-9 % slower
+    z = np.empty((chunk, below[0].size), dtype=np.complex128)
     factor = np.zeros((chunk, k, r), dtype=np.complex128)
-    factor_conj = np.empty_like(factor)
     gram_buf = np.empty((chunk, k, k), dtype=np.complex128)
     square, square_im = np.empty((2, chunk, k, k))   # |x|^2 = re^2 + im^2
     mrc, zf = gammas.get(Detector.MRC), gammas.get(Detector.ZF)
@@ -142,16 +141,14 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
             start, stop = lo + a, lo + a + c
             lower = factor[:c]
             lower[:, diag, diag] = np.sqrt(
-                gamma_draws.standard_gamma(shape, out=draws[:c]))
+                gamma_draws.standard_gamma(shape, size=(c, r)))
             parts = z[:c].view(np.float64)      # (re, im) of each entry in turn
             normals.standard_normal(out=parts)
             parts *= _SQRT_HALF
-            for i in range(1, k):
-                lower[:, i, :min(i, r)] = z[:c, ends[i - 1]:ends[i]]
+            lower[:, below[0], below[1]] = z[:c]
 
             if mrc is not None:
-                np.conjugate(lower, out=factor_conj[:c])
-                gram = np.matmul(lower, factor_conj[:c].transpose(0, 2, 1),
+                gram = np.matmul(lower, lower.conj().transpose(0, 2, 1),
                                  out=gram_buf[:c])
                 d = np.diagonal(gram, axis1=1, axis2=2).real      # (c, k) channel norms
                 row_power = np.add(np.square(gram.real, out=square[:c]),
@@ -186,7 +183,7 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 rates[Detector.ZF][:, start:stop] = rate.sum(axis=-1)
 
 
-def _run_group(configs: Sequence[McConfig], threads: int
+def _run_group(configs: Sequence[McConfig], pool: ThreadPoolExecutor
                ) -> list[McResult | OverflowError]:
     """Simulate configs sharing (m, k, trials, seed) on common channel draws;
     a config whose rate leaves double range gets the error to raise."""
@@ -195,12 +192,9 @@ def _run_group(configs: Sequence[McConfig], threads: int
     gammas = {det: np.array([c.gamma for c in configs if c.detector is det])
               for det in dict.fromkeys(cfg.detector for cfg in configs)}
     rates = {det: np.empty((g.size, trials)) for det, g in gammas.items()}
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for fut in [pool.submit(_process_slab, seed, m, k, lo,
-                                min(lo + _SLAB, trials), gammas, rates)
-                    for lo in range(0, trials, _SLAB)]:
-            fut.result()
+    list(pool.map(lambda lo: _process_slab(
+        seed, m, k, lo, min(lo + _SLAB, trials), gammas, rates),
+        range(0, trials, _SLAB)))
 
     # a detector's rows follow its configs' input order
     rows = {det: iter(r) for det, r in rates.items()}
@@ -239,8 +233,9 @@ def bound_gap_sweep(configs: Iterable[McConfig], *,
     grouped: dict[tuple[int, int, int, int], list[McConfig]] = {}
     for cfg in dict.fromkeys(config_list):    # a repeated config runs once
         grouped.setdefault((cfg.m, cfg.k, cfg.trials, cfg.seed), []).append(cfg)
-    results = {cfg: res for group in grouped.values()
-               for cfg, res in zip(group, _run_group(group, threads))}
+    with ThreadPoolExecutor(threads) as pool:
+        results = {cfg: res for group in grouped.values()
+                   for cfg, res in zip(group, _run_group(group, pool))}
     rows = [(cfg, results[cfg]) for cfg in config_list]
     for _, res in rows:     # the first point out of range in input order
         if isinstance(res, OverflowError):

@@ -151,7 +151,12 @@ def minimize_relaxed(theta: SystemParams, det: Detector, *,
             grid = _ZOOM_UNIT * (hi - lo)
             grid += lo
 
+    # the power holds M only as rho_r M, finite also where M overflows
+    m_star = optimal_m(theta, k_star, det)
+    if not math.isfinite(m_star):
+        raise InfeasibleError("the antenna count at the relaxed optimum "
+                              f"k = {k_star!r} overflows double range")
     return RelaxedOptimum(
-        k_star=k_star, m_star=optimal_m(theta, k_star, det),
-        zeta=theta.R / objective, objective=objective, detector=det,
+        k_star=k_star, m_star=m_star, zeta=theta.R / objective,
+        objective=objective, detector=det,
         solver_diag=SolverDiag(refine_iters=rounds))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mimo_ee.efficiency import EfficiencyRangeError, evaluate_efficiency
 from mimo_ee.integer_opt import (_FIRST_BLOCK, _K_EXACT, _LAST_BLOCK,
                                  Optimum, _block_powers, _interval_bound,
-                                 _window, optimize_exact)
+                                 _split, _window, optimize_exact)
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
                           _rate_headroom)
 from mimo_ee.relaxation import minimize_relaxed, optimal_m
@@ -646,6 +646,28 @@ class TestCertification:
         assert time.perf_counter() - start < 5.0
         assert got.zeta_star <= relaxed.zeta
         assert abs(got.k_star - relaxed.k_star) <= 0.01 * relaxed.k_star
+
+
+class TestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.tuples(st.integers(1, 2 ** 53 - 1),
+                                   st.integers(1, 2 ** 53 - 1)),
+                         min_size=1, max_size=6))
+    def test_pieces_cover_each_gap_exactly(self, gaps):
+        gaps = [(min(a, b), max(a, b)) for a, b in gaps]
+        lo, hi = (np.array(side, dtype=float) for side in zip(*gaps))
+        starts, ends = _split(lo, hi)
+        assert (starts <= ends).all()
+        # the pieces of each gap follow its own, ascending and disjoint
+        # (each starts one past the last's end), from its lo to its hi
+        pieces = iter(zip(starts.tolist(), ends.tolist()))
+        for a, b in gaps:
+            at = a
+            while at <= b:
+                start, end = next(pieces)
+                assert start == at and end <= b
+                at = end + 1
+        assert next(pieces, None) is None
 
 
 class TestUnreachableRates:

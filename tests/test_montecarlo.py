@@ -493,7 +493,7 @@ class TestStreamedSlab:
 
     def test_slab_memory_is_its_chunk_buffers(self):
         # every stage runs per chunk, so the peak is the 512 KiB chunk
-        # buffers (L, its conjugate, the Gram matrices) and ZF's inverse of
+        # buffers (L, the Gram matrices), L's conjugate and ZF's inverse of
         # one chunk; one slab-sized (4096, 16, 16) array would take 16.8 MB
         # on its own
         family = [McConfig(m=128, k=16, gamma=0.1, detector=det,

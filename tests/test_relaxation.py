@@ -374,6 +374,15 @@ class TestMinimizeRelaxed:
             minimize_relaxed(theta, MRC, k_max=1e12).zeta, rel=0, abs=1e-6)
         assert huge.zeta >= minimize_relaxed(theta, MRC, k_max=1e6).zeta
 
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_antenna_count_past_double_range_is_refused(self, det):
+        # at R/k near 1024 bits the surplus sqrt(alpha k e / rho_r) is about
+        # 2.6e314, while h = 2 sqrt(alpha rho_r k e) stays tiny: the grid's
+        # winner, k* = 1.953 at zeta 677.2, has no double M
+        theta = _theta(R=2000.0, rho_r=1e-320)
+        with pytest.raises(InfeasibleError, match="overflows double range"):
+            minimize_relaxed(theta, det)
+
     @pytest.mark.parametrize("k_max", [True, False])
     def test_bool_k_max_is_not_a_count(self, k_max):
         with pytest.raises(ValueError, match="k_max must be finite and >= 1"):

@@ -751,6 +751,29 @@ class TestCli:
         assert err.count("\n") == 1
         assert out.startswith("R,detector,")
 
+    def test_relaxed_antenna_count_past_double_range_exits_3(self, capsys,
+                                                              tmp_path):
+        # both relaxed optima need an M past double range, so each row
+        # names that; the exact cells are the search's without a hint
+        cfg = {"normalized": {"alpha": 2.0, "rho_r": 1e-320, "rho_d": 1.0,
+                              "rho_s": 1.0},
+               "optimize": {"R": 2000.0}}
+        path = tmp_path / "tiny_rho_r.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = _run(capsys, "optimize", "--config", str(path),
+                            "--format", "json")
+        assert rc == 3
+        assert err.startswith("error: numeric: relaxed: the antenna count "
+                              "at the relaxed optimum")
+        assert err.count("\n") == 1
+        theta = PowerProfile(**cfg["normalized"]).at_rate(2000.0)
+        for row in json.loads(out):
+            exact = optimize_exact(theta, Detector(row["detector"]))
+            assert (row["M_star"], row["K_star"]) == (exact.m_star,
+                                                      exact.k_star)
+            assert row["zeta_relaxed"] is None and row["ratio"] is None
+            assert row["error"].startswith("relaxed: ")
+
     def test_unmet_hypotheses_exit_3_but_emit_table(self, capsys, tmp_path):
         # R = 5 is below max(r1, r2) at this profile: thresholds are
         # computed but the efficiency cap's hypotheses do not hold
