@@ -54,7 +54,11 @@ def trajectory_zeta(spec: TrajectorySpec, R: float) -> float:
     relaxed MRC power at k = R/c with the antenna count optimized out."""
     if isinstance(R, bool) or not spec.c < R <= sys.float_info.max:
         _refuse("R", f"finite and exceed the per-user rate c={spec.c}", R)
-    return R / _reduced_power(R / spec.c, spec.profile.at_rate(R), Detector.MRC)
+    power = _reduced_power(R / spec.c, spec.profile.at_rate(R), Detector.MRC)
+    if not power < math.inf:
+        raise ValueError(f"the relaxed MRC power at k = R/c = {R / spec.c!r} "
+                         "overflows double range")
+    return R / power
 
 
 def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
@@ -62,7 +66,7 @@ def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
     zeta = trajectory_zeta(spec, R)
     k = R / spec.c
     m = optimal_m(spec.profile.at_rate(R), k, Detector.MRC)
-    _require_number("M", m, 1, strict=False)   # alpha k e / rho_r may overflow
+    _require_number("M", m, 1, strict=False)   # M may have no double
     return TrajectoryPoint(R=float(R), k=k, m=m, zeta=zeta)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .efficiency import EfficiencyReport, _power_terms, evaluate_efficiency
 from .link import (AntennaConfig, Detector, InfeasibleError, _EXP2_OVERFLOW,
                    _exp2m1, _headroom, _interference)
-from .relaxation import _require_inputs, optimal_m
+from .relaxation import _m_cont, _require_inputs, optimal_m
 from .units import SystemParams, _require_count
 
 # K are priced as doubles, which hold every integer below 2^53
@@ -59,29 +59,22 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
     """Least total power and its M at every K in ks.
 
     ks is a float array. Per K the candidates are the floor and ceiling of
-    `optimal_m`'s continuous optimum, clamped to the least feasible M, or
-    that M and the next where the optimum is not finite; both are priced
-    in one pass. Each power repeats `evaluate_efficiency`'s operations in
-    its order, so it equals that function's total power bit for bit, and
-    is +inf where it would raise; e = 2^(R/K) - 1 comes from link's
-    `_exp2m1`, as there. best_m(i) is the least M attaining a finite
-    powers[i], as an exact int also past 2^53.
+    the real optimum `_m_cont`, clamped to the least feasible M and to the
+    largest double, below which the power falls where the optimum has no
+    double; both are priced in one pass. Each power repeats
+    `evaluate_efficiency`'s operations in its order, so it equals that
+    function's total power bit for bit, and is +inf where it would raise;
+    e = 2^(R/K) - 1 comes from link's `_exp2m1`, as there. best_m(i) is
+    the least M attaining a finite powers[i], as an exact int also past 2^53.
     """
     e = _exp2m1(theta.R / ks)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        surplus = np.sqrt(theta.alpha * ks * e / theta.rho_r)
         interference = _interference(ks, e, det)
-        # the least feasible M, floor(I) + 2, and the next, each rounded
-        # once, as the float of best_m's exact int is
-        least = np.floor(interference) + [[2.0], [3.0]]
-        # as in optimal_m
-        m_cont = surplus - _headroom(0.0, ks, interference, det)
-        finite = np.isfinite(m_cont)
-        # row 0 holds the floor candidates, row 1 the ceilings
-        rounded = np.empty_like(least)
-        np.floor(m_cont, out=rounded[0])
-        np.ceil(m_cont, out=rounded[1])
-        m = np.where(finite, np.maximum(least[0], rounded, out=rounded), least)
+        m_cont = np.minimum(_m_cont(theta, ks, e, interference, det),
+                            sys.float_info.max)
+        # floor and ceiling rows, >= floor(I) + 2 rounded as best_m's int
+        m = np.maximum(np.floor(interference) + 2.0,
+                       [np.floor(m_cont), np.ceil(m_cont)])
         gamma = e / _headroom(m, ks, interference, det)
         power = _power_terms(m, ks, gamma, theta)[4]
         zeta = theta.R / power
@@ -91,14 +84,9 @@ def _block_powers(ks: np.ndarray, theta: SystemParams, det: Detector
                                 power, math.inf)
 
     def best_m(i: int) -> int:
-        # float(m_lo) rounds past 2^53, so the clamp is rebuilt as an int;
-        # a tie goes to the lower candidate, which is never the larger M
-        upper_wins = bool(upper[i] < lower[i])
-        m_min = math.floor(interference[i]) + 2
-        if not finite[i]:
-            return m_min + upper_wins
-        rounded = math.ceil(m_cont[i]) if upper_wins else math.floor(m_cont[i])
-        return max(m_min, rounded)
+        # the clamp rebuilt as an exact int past 2^53; a tie goes to the floor
+        rounded = math.ceil if upper[i] < lower[i] else math.floor
+        return max(math.floor(interference[i]) + 2, rounded(m_cont[i]))
 
     return np.minimum(lower, upper), best_m
 
@@ -181,10 +169,16 @@ def _price(ks: np.ndarray, theta: SystemParams, det: Detector,
 
 
 def _no_design(k: int, theta: SystemParams, det: Detector) -> str:
-    """The refusal where no K up to k has a finite priced power. If k's M,
+    """The refusal where no K up to k, 2^53 - 1 or k_max, has a finite
+    priced power. If 2^(R/k) overflows, it does at every such K. If k's M,
     at least floor(I) + 2 and at the real 1 + I + surplus, rounds to a
     headroom M - 1 - I of 0, M is past 2^52 surplus: a finite, unpriced power."""
-    i = _interference(float(k), _exp2m1(theta.R / k), det)
+    e = _exp2m1(theta.R / k)
+    if e == math.inf:
+        limit = "below 2^53" if k == _K_EXACT - 1 else f"<= k_max = {k}"
+        return (f"no integer design achieves the rate with K {limit}: "
+                "2^(R/K) overflows at every such K")
+    i = _interference(float(k), e, det)
     m = max(math.floor(i) + 2.0, optimal_m(theta, k, det)) if i < math.inf else i
     if _headroom(m, k, i, det) != 0.0:
         return "no integer design achieves the rate with finite power"

@@ -91,13 +91,24 @@ def _reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
         return float(_objective_grid(np.array([float(k)]), theta, det)[0])
 
 
+def _m_cont(theta: SystemParams, k, e, interference, det: Detector):
+    """Real M minimizing the power at k, a float or an ascending array, under
+    np.errstate(over="ignore"): 1 + I + surplus, ZF's K + surplus. The surplus
+    sqrt(alpha k e / rho_r) is sqrt(k) sqrt(e) sqrt(alpha) / sqrt(rho_r) where
+    that overflows: at an array's first k or nowhere, as k e falls in k."""
+    surplus = np.sqrt(theta.alpha * k * e / theta.rho_r)
+    if not np.ravel(surplus)[0] < math.inf:
+        surplus = np.where(surplus < math.inf, surplus, np.sqrt(k) * np.sqrt(e)
+                           * math.sqrt(theta.alpha) / math.sqrt(theta.rho_r))
+    return surplus - _headroom(0.0, k, interference, det)
+
+
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     """Closed-form antenna count minimizing the power at fixed user count k."""
     _require_inputs(theta, k)
     e = _exp2m1(theta.R / k)
-    surplus = math.sqrt(theta.alpha * k * e / theta.rho_r)
-    # the M whose headroom is the surplus: 1 + I + surplus, ZF's K + surplus
-    return surplus - _headroom(0.0, k, _interference(k, e, det), det)
+    with np.errstate(over="ignore"):
+        return float(_m_cont(theta, k, e, _interference(k, e, det), det))
 
 
 def minimize_relaxed(theta: SystemParams, det: Detector, *,

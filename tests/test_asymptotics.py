@@ -12,7 +12,7 @@ from mimo_ee.asymptotics import (TrajectorySpec,
                                  trajectory_zeta)
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, _rate_headroom
-from mimo_ee.relaxation import minimize_relaxed
+from mimo_ee.relaxation import minimize_relaxed, optimal_m
 from mimo_ee.report import SweepSpec, sweep_records
 from mimo_ee.units import PowerProfile, SystemParams
 
@@ -82,12 +82,38 @@ class TestTrajectoryPoint:
             trajectory_zeta(spec, R)
 
     def test_overflowing_antenna_count_is_refused(self):
-        # alpha k (2^c - 1) / rho_r leaves double range; zeta stays finite
+        # the surplus sqrt(alpha k (2^c - 1) / rho_r) is 1.22e310 at
+        # R = 1e20, past double range; zeta stays finite
         spec = TrajectorySpec(c=2.0, profile=_profile(alpha=1e300,
                                                       rho_r=1e-300))
-        assert 0.0 < trajectory_zeta(spec, 1e10) < math.inf
+        assert 0.0 < trajectory_zeta(spec, 1e20) < math.inf
         with pytest.raises(ValueError, match="^M must be finite"):
-            trajectory_point(spec, 1e10)
+            trajectory_point(spec, 1e20)
+        # at R = 1e10 only the product alpha k e / rho_r overflows, and M,
+        # the surplus 1.2247e305 (plus I and 1), has a double
+        pt = trajectory_point(spec, 1e10)
+        assert pt.m == pytest.approx(math.sqrt(1.5e10) * 1e300, rel=1e-15)
+        assert 0.0 < pt.zeta < math.inf
+
+    def test_overflowing_power_is_refused(self):
+        # at c = 1020 the relaxed power overflows at alpha = 20, so zeta
+        # would read 0.0, though M = 1 + I + surplus (1.5e154) has a double
+        spec = TrajectorySpec(c=1020.0, profile=_profile(alpha=20.0))
+        theta = spec.profile.at_rate(1030.0)
+        assert optimal_m(theta, 1030.0 / 1020.0, MRC) < math.inf
+        for solve in (trajectory_zeta, trajectory_point):
+            with pytest.raises(ValueError, match=r"^the relaxed MRC power at "
+                               r"k = R/c = 1\.0098039215686274 overflows "
+                               r"double range$"):
+                solve(spec, 1030.0)
+        # a sweep row keeps the refusal in its error cell
+        rows = sweep_records(SweepSpec(
+            r_values=(1200.0,), theta_base=_profile(alpha=20.0),
+            detectors=(MRC,), outputs=frozenset({"trajectory"}),
+            trajectory_c=1100.0))
+        assert rows[0]["zeta_trajectory"] is None
+        assert rows[0]["error"].startswith(
+            "trajectory: the relaxed MRC power at k = R/c")
 
     def test_tiny_per_user_rate_against_mpmath(self):
         # pow(2, c) - 1 cancels at so small a c; expm1(c ln2) does not

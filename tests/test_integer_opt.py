@@ -52,12 +52,9 @@ def _best_m_for_k(k, theta, det):
         if boundary == math.inf:
             return math.inf, 0
         m_lo = math.floor(boundary) + 2
-    m_cont = optimal_m(theta, float(k), det)
-    if math.isfinite(m_cont):
-        candidates = (max(m_lo, math.floor(m_cont)),
-                      max(m_lo, math.ceil(m_cont)))
-    else:
-        candidates = (m_lo, m_lo + 1)
+    # past double range the power falls up to the largest double M
+    m_cont = min(optimal_m(theta, float(k), det), sys.float_info.max)
+    candidates = (max(m_lo, math.floor(m_cont)), max(m_lo, math.ceil(m_cont)))
     return min((_total_power(m, k, theta, det), m) for m in candidates)
 
 
@@ -65,6 +62,17 @@ def _kernel_at(k, theta, det):
     """The block kernel's power and M at the single user count k."""
     powers, best_m = _block_powers(np.array([float(k)]), theta, det)
     return float(powers[0]), best_m(0)
+
+
+def _assert_block_is_scalar(k0, n, theta, det):
+    """The kernel's powers and M on K = k0 .. k0 + n - 1 are the oracle's."""
+    want = [_best_m_for_k(k, theta, det) for k in range(k0, k0 + n)]
+    powers, best_m = _block_powers(np.arange(k0, k0 + n, dtype=float), theta,
+                                   det)
+    assert powers.tolist() == [p for p, _ in want], (theta, det)
+    finite = [i for i, (p, _) in enumerate(want) if p < math.inf]
+    assert [best_m(i) for i in finite] == [want[i][1] for i in finite], \
+        (theta, det)
 
 
 def _power_over_m(theta, det, k, mm):
@@ -473,14 +481,28 @@ class TestBlockScan:
                 rho_d=float(10.0 ** rng.uniform(-4, 3)),
                 rho_s=float(10.0 ** rng.uniform(-3, 3)))
             det = MRC if i % 2 else ZF
-            k0 = int(rng.integers(1, 3000))
-            ks = np.arange(k0, k0 + 300, dtype=float)
-            want = [_best_m_for_k(k, theta, det) for k in range(k0, k0 + 300)]
-            powers, best_m = _block_powers(ks, theta, det)
-            assert powers.tolist() == [p for p, _ in want], (theta, det)
-            finite = [i for i, (p, _) in enumerate(want) if p < math.inf]
-            assert [best_m(i) for i in finite] == [want[i][1] for i in finite], \
-                (theta, det)
+            _assert_block_is_scalar(int(rng.integers(1, 3000)), 300, theta,
+                                    det)
+
+    def test_block_powers_equal_scalar_powers_past_the_product(self):
+        # as above where alpha K e / rho_r overflows at the block's first K:
+        # the surplus has a double there or lies past double range
+        # (at 1000 bits per user, where i % 4 == 0, it is past double range)
+        rng = np.random.default_rng(33)
+        for i in range(40):
+            n = int(rng.integers(1, 10))
+            theta = SystemParams(
+                R=1000.0 * n if i % 4 == 0 else float(10.0 ** rng.uniform(2.5, 4)),
+                alpha=float(rng.uniform(1.01, 10.0)),
+                rho_r=float(10.0 ** rng.uniform(-322, -306)),
+                rho_d=float(10.0 ** rng.uniform(-4, 3)),
+                rho_s=float(10.0 ** rng.uniform(-3, 3)))
+            det = MRC if i % 2 else ZF
+            k0 = n if i % 4 == 0 else \
+                math.floor(theta.R / 1024.0) + 1 + int(rng.integers(0, 20))
+            assert theta.alpha * k0 * (2.0 ** (theta.R / k0) - 1.0) \
+                / theta.rho_r == math.inf
+            _assert_block_is_scalar(k0, 200, theta, det)
 
     def test_clamped_m_past_2_54_is_exact(self):
         # MRC's least feasible M, floor(boundary) + 2, has no float here:
@@ -748,6 +770,56 @@ class TestUnreachableRates:
         got = optimize_exact(theta, det)
         assert _answer(got) == _answer(_sequential_search(theta, det))
         assert got.k_range_searched[0] == 3
+
+
+class TestAntennaCountPastTheProduct:
+    """alpha K e / rho_r overflows where the antenna count 1 + I + its
+    square root has a double, or the count has none: the search prices
+    that count, or the largest double M, not the least feasible M."""
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_one_user_prices_the_real_optimum(self, det):
+        # alpha e = 2.2e308 at K = 1; the least M, 3, gives zeta 9.08e-306
+        theta = _theta(R=1020.0, alpha=20.0)
+        got = optimize_exact(theta, det, k_max=1)
+        m_cont = 1.0 + math.sqrt(20.0) * math.sqrt(2.0 ** 1020 - 1.0)
+        assert got.k_star == 1
+        assert got.m_star == pytest.approx(m_cont, rel=1e-15)
+        assert got.zeta_star == pytest.approx(3.4021808023611062e-152,
+                                              rel=1e-12)
+        least = evaluate_efficiency(AntennaConfig(M=3, K=1), theta, det)
+        assert least.zeta == pytest.approx(9.078301342709382e-306, rel=1e-12)
+        assert _answer(got) == _answer(_sequential_search(theta, det, k_max=1))
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_surplus_past_double_range_takes_the_largest_m(self, det):
+        # at K = 2 the surplus is 6.5e310 and the power falls up to the
+        # largest double M; the least M gave K* = 1283 (MRC) and zeta 0.528
+        theta = _theta(R=2000.0, rho_r=1e-320)
+        got = optimize_exact(theta, det)
+        assert (got.m_star, got.k_star) == (int(sys.float_info.max), 2)
+        assert got.zeta_star == pytest.approx(666.6666136843618, rel=1e-12)
+        assert got.pruned_at is not None
+        assert _answer(got) == \
+            _answer(_sequential_search(theta, det, k_max=got.pruned_at))
+
+    @pytest.mark.parametrize("det", [MRC, ZF])
+    def test_rate_past_every_priceable_user_count_names_the_limit(self, det):
+        # 2^(R/K) overflows at every K below 2^53, though K = 1e17 reaches
+        # R = 1e20 and the relaxation prices k* past 2^53; with k_max, at
+        # every K up to it
+        theta = _theta(R=1e20)
+        relaxed = minimize_relaxed(theta, det)
+        assert relaxed.k_star > _K_EXACT
+        assert relaxed.zeta == pytest.approx({MRC: 0.5307, ZF: 24.36}[det],
+                                             rel=1e-3)
+        for k_max, limit in ((None, "below 2\\^53"), (10 ** 30, "below 2\\^53"),
+                             (5, "<= k_max = 5")):
+            with pytest.raises(
+                    InfeasibleError,
+                    match=f"^no integer design achieves the rate with K "
+                          f"{limit}: 2\\^\\(R/K\\) overflows at every such K$"):
+                optimize_exact(theta, det, k_max=k_max)
 
 
 class TestRelaxedFirstBlock:

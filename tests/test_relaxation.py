@@ -12,7 +12,7 @@ from scipy import optimize
 from mimo_ee import relaxation
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import (AntennaConfig, Detector, InfeasibleError,
-                          _rate_headroom)
+                          _exp2m1, _headroom, _interference, _rate_headroom)
 from mimo_ee.relaxation import (_objective_grid, _reduced_power,
                                 minimize_relaxed, optimal_m)
 from mimo_ee.units import SystemParams
@@ -233,6 +233,50 @@ class TestOptimalM:
         gap = optimal_m(theta, k, MRC) - optimal_m(theta, k, ZF)
         e = 2.0 ** (rate / k) - 1.0
         assert gap == pytest.approx((k - 1.0) * (e - 1.0), rel=1e-9, abs=1e-9)
+
+    def test_plain_formula_bit_for_bit_where_it_is_finite(self):
+        # _m_cont, which optimal_m and the exact kernel share, forms
+        # sqrt(alpha k e / rho_r) wherever that is finite, on floats and on
+        # ascending arrays; past it, sqrt(k) sqrt(e) sqrt(alpha) / sqrt(rho_r)
+        # stays within 4 ulps of 40 digits, or is inf where M has no double
+        import mpmath
+
+        rng = np.random.default_rng(33)
+        overflowed = 0
+        for i in range(300):
+            theta = _theta(R=float(10.0 ** rng.uniform(-1, 4)),
+                           alpha=float(rng.uniform(1.01, 10.0)),
+                           rho_r=float(10.0 ** rng.uniform(-322, 4)))
+            det = MRC if i % 2 else ZF
+            k0 = math.floor(theta.R / 1024.0) + 1 + int(rng.integers(0, 50))
+            ks = np.arange(k0, k0 + 64, dtype=float)
+            e = _exp2m1(theta.R / ks)
+            with np.errstate(over="ignore"):
+                product = theta.alpha * ks * e / theta.rho_r
+                interference = _interference(ks, e, det)
+                got = relaxation._m_cont(theta, ks, e, interference, det)
+            plain = np.sqrt(product) - _headroom(0.0, ks, interference, det)
+            finite = product < math.inf
+            assert got[finite].tolist() == plain[finite].tolist(), theta
+            for k in ks.tolist():
+                e_k = _exp2m1(theta.R / k)
+                product_k = theta.alpha * k * e_k / theta.rho_r
+                if product_k < math.inf:
+                    assert optimal_m(theta, k, det) == math.sqrt(product_k) \
+                        - _headroom(0.0, k, _interference(k, e_k, det), det)
+            with mpmath.workdps(40):
+                for j in np.flatnonzero(~finite).tolist():
+                    mp_k, mp_e = mpmath.mpf(ks[j]), mpmath.mpf(e[j])
+                    want = mpmath.sqrt(theta.alpha * mp_k * mp_e
+                                       / mpmath.mpf(theta.rho_r))
+                    want += mp_k if det is ZF else 1 + (mp_k - 1) * mp_e
+                    if want > sys.float_info.max:
+                        assert got[j] == math.inf
+                    else:
+                        assert abs(got[j] - want) <= 4 * math.ulp(got[j])
+                        assert optimal_m(theta, ks[j], det) == got[j]
+            overflowed += not finite.all()
+        assert overflowed > 20
 
     def test_rejects_free_antennas(self):
         with pytest.raises(ValueError, match="rho_r"):

@@ -774,6 +774,51 @@ class TestCli:
             assert row["zeta_relaxed"] is None and row["ratio"] is None
             assert row["error"].startswith("relaxed: ")
 
+    @pytest.mark.parametrize("profile, rate, flags, k_star, m_star, zeta", [
+        # alpha e overflows at K = 1, where M = 1 + surplus has a double;
+        # the least M, 3, gave zeta 9.08e-306
+        ({"alpha": 20.0, "rho_r": 1.0}, 1020.0, ("--k-max", "1"), 1,
+         int(1.4990384980306193e154), 3.4021808023611062e-152),
+        # the surplus has no double at K = 2: the largest double M wins;
+        # the least M gave K* = 1283 (MRC) and zeta 0.528
+        ({"alpha": 2.0, "rho_r": 1e-320}, 2000.0, (), 2,
+         int(sys.float_info.max), 666.6666136843618)])
+    def test_breakdown_prices_the_antenna_count_past_the_product(
+            self, capsys, tmp_path, profile, rate, flags, k_star, m_star,
+            zeta):
+        cfg = {"normalized": {**profile, "rho_d": 1.0, "rho_s": 1.0},
+               "sweep": {"r_values": [rate], "detectors": ["mrc"]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = _run(capsys, "breakdown", "--config", str(path),
+                            "--format", "json", *flags)
+        assert (rc, err) == (0, "")
+        (row,) = json.loads(out)
+        assert (row["K_star"], row["M_star"], row["error"]) == (k_star,
+                                                                m_star, None)
+        assert row["zeta_star"] == pytest.approx(zeta, rel=1e-12)
+
+    def test_overflowing_trajectory_power_is_a_row_error(self, capsys,
+                                                         tmp_path):
+        # at c = 1100 the relaxed MRC power overflows; the cell read 0.0
+        cfg = {"normalized": {"alpha": 20.0, "rho_r": 1.0, "rho_d": 1.0,
+                              "rho_s": 1.0},
+               "sweep": {"r_values": [1200.0], "detectors": ["mrc"],
+                         "outputs": ["trajectory"], "trajectory_c": 1100.0},
+               "trajectory": {"c": 1020.0, "r_values": [1030.0]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for cmd, column in (("sweep", "zeta_trajectory"),
+                            ("trajectory", "zeta")):
+            rc, out, err = _run(capsys, cmd, "--config", str(path),
+                                "--format", "json")
+            assert (rc, err) == (0, "")
+            (row,) = json.loads(out)
+            assert row[column] is None
+            assert row["error"].startswith("trajectory: the relaxed MRC "
+                                           "power at k = R/c = ")
+            assert row["error"].endswith(" overflows double range")
+
     def test_unmet_hypotheses_exit_3_but_emit_table(self, capsys, tmp_path):
         # R = 5 is below max(r1, r2) at this profile: thresholds are
         # computed but the efficiency cap's hypotheses do not hold
