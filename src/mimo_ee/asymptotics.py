@@ -71,15 +71,20 @@ def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
 
 
 def trajectory_limit(spec: TrajectorySpec) -> float:
-    """Efficiency that the constant-per-user-rate family approaches as R grows."""
+    """Efficiency that the constant-per-user-rate family approaches as R
+    grows, c / (rho_d + rho_r e) with e = 2^c - 1; where that denominator
+    overflows, (c / e) / (rho_d / e + rho_r), refused below the normal range."""
     c, p = spec.c, spec.profile
-    den = p.rho_d + p.rho_r * _exp2m1(c)
+    e = _exp2m1(c)
+    den = p.rho_d + p.rho_r * e
     if den <= 0:
-        raise ValueError(
-            "limit undefined: rho_d + rho_r*(2^c - 1) must be positive")
-    if not math.isfinite(den):
+        raise ValueError("limit undefined: rho_d + rho_r*(2^c - 1) must be positive")
+    if e == math.inf:
         raise ValueError("2^c overflows double range; c is unrealistically large")
-    return c / den
+    limit = c / den if den < math.inf else (c / e) / (p.rho_d / e + p.rho_r)
+    if not (den < math.inf or limit >= sys.float_info.min):
+        raise ValueError(f"limit out of double range at c={c!r}: {limit!r}")
+    return limit
 
 
 def _log2(ratio: Callable[..., float], theta: SystemParams) -> float:

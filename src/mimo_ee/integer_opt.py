@@ -113,7 +113,10 @@ def _interval_bound(lo: np.ndarray, hi: np.ndarray, theta: SystemParams,
     headroom M - 1 - I is exact within its own rounding, which the
     minimization over M absorbs. The scale (1 - 1e-12) covers these
     errors. No product overflows where the true bound does not: share hi
-    and hi e overflow together only where their product does.
+    and hi e overflow together only where their product does. The root is
+    always split, sqrt(hi) sqrt(e), not formed from (alpha rho_r) hi e as
+    in `relaxation._root`: that product can overflow at the largest hi
+    alone, and a bound of +inf would exclude its piece unsoundly.
     """
     e = np.maximum(_exp2m1(theta.R / hi) - 2.0 ** -49,
                    (0.5 * math.log(2.0)) * theta.R / hi)

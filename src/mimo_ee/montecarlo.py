@@ -43,8 +43,11 @@ other operation acts per trial or along a trial's own axes, so every
 result is the same for any chunk size. Memory is the rate arrays plus,
 per worker, the chunk buffers and a (configs, chunk, k) array per detector.
 
-A point whose simulated or closed-form rate leaves double range, such
-as gamma near 1.7e308, is refused with OverflowError.
+Both detectors take a trial's rate by one step, `_rate`: where the SINR
+overflows, its log is a difference of logs, so the simulated rate stays
+finite. A point whose simulated or closed-form rate leaves double range
+is refused with OverflowError; near gamma = 1.7e308 that is the closed
+form, whose SINR overflows first.
 """
 
 from __future__ import annotations
@@ -111,6 +114,16 @@ def _slab_stream(seed: int, kind: int, slab: int) -> np.random.Generator:
         np.random.Philox(key=seed, counter=(0, 0, kind, slab)))
 
 
+def _rate(signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-trial sum over users of log2(1 + signal / noise), both > 0 and
+    broadcast to (configs, trials, k); only where that SINR overflows is
+    its log2 the log difference log2(signal) - log2(noise)."""
+    rate = np.log2(1.0 + signal / noise)
+    if np.isinf(rate).any():
+        np.subtract(np.log2(signal), np.log2(noise), out=rate, where=np.isinf(rate))
+    return rate.sum(axis=-1)
+
+
 def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                   gammas: dict[Detector, np.ndarray],
                   rates: dict[Detector, np.ndarray]) -> None:
@@ -158,8 +171,7 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 g = mrc[:, None, None]                            # one SNR per row
                 # SINR g d^2 / (g cross + d), divided by g first: g d^2
                 # overflows long before the rate does
-                rates[Detector.MRC][:, start:stop] = np.log2(
-                    1.0 + d * d / (cross + d / g)).sum(axis=-1)
+                rates[Detector.MRC][:, start:stop] = _rate(d * d, cross + d / g)
 
             if zf is not None:
                 # [W^{-1}]_jj = |column j of L^{-1}|^2, and L is square for ZF;
@@ -174,13 +186,7 @@ def _process_slab(seed: int, m: int, k: int, lo: int, hi: int,
                 diag_inv = np.add(np.square(inv.real, out=square[:c]),
                                   np.square(inv.imag, out=square_im[:c]),
                                   out=square[:c]).sum(axis=1)
-                rate = np.log2(1.0 + zf[:, None, None] / diag_inv)
-                # the rate is inf only where g / diag_inv overflows; there
-                # log2(SINR) is a log difference
-                if np.isinf(rate).any():
-                    np.subtract(np.log2(zf)[:, None, None], np.log2(diag_inv),
-                                out=rate, where=np.isinf(rate))
-                rates[Detector.ZF][:, start:stop] = rate.sum(axis=-1)
+                rates[Detector.ZF][:, start:stop] = _rate(zf[:, None, None], diag_inv)
 
 
 def _run_group(configs: Sequence[McConfig], pool: ThreadPoolExecutor

@@ -59,14 +59,25 @@ def _require_inputs(theta: SystemParams, k: float = 1.0) -> None:
     _require_number("k", k, 1, strict=False)
 
 
+def _root(root, k, e, scale, divisor=1.0):
+    """root, a sqrt(c k e) formed from its product c k e, on a float or an
+    ascending array; only where that product overflowed, sqrt(k) sqrt(e)
+    scale / divisor, with scale / divisor = sqrt(c). k e falls as k grows,
+    so that is at an array's first k or nowhere."""
+    return root if np.ravel(root)[0] < math.inf else np.where(
+        root < math.inf, root, np.sqrt(k) * np.sqrt(e) * scale / divisor)
+
+
 def _objective_grid(k: np.ndarray, theta: SystemParams,
                     det: Detector) -> np.ndarray:
-    """Reduced power objective on an ascending array of k values; overflow
-    maps to +inf. Callers hold np.errstate(over="ignore", invalid="ignore")."""
+    """Reduced power objective on an ascending array of k values, h's root
+    taken by `_root`; a power past double range is +inf. Callers hold
+    np.errstate(over="ignore", invalid="ignore")."""
     e = np.expm1((theta.R * math.log(2.0)) / k)
     # one order, h + rho_r + rho_s + k rho_d + rho_r I, so the detectors
     # differ only in I, and at k = 1 (I = 0) they price one design alike
-    total = np.sqrt((theta.alpha * theta.rho_r) * k * e)
+    total = _root(np.sqrt((theta.alpha * theta.rho_r) * k * e), k, e,
+                  math.sqrt(theta.alpha) * math.sqrt(theta.rho_r))
     total *= 2.0  # h = 2 sqrt(alpha rho_r k e)
     total += theta.rho_r
     total += theta.rho_s
@@ -93,13 +104,12 @@ def _reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
 
 def _m_cont(theta: SystemParams, k, e, interference, det: Detector):
     """Real M minimizing the power at k, a float or an ascending array, under
-    np.errstate(over="ignore"): 1 + I + surplus, ZF's K + surplus. The surplus
-    sqrt(alpha k e / rho_r) is sqrt(k) sqrt(e) sqrt(alpha) / sqrt(rho_r) where
-    that overflows: at an array's first k or nowhere, as k e falls in k."""
-    surplus = np.sqrt(theta.alpha * k * e / theta.rho_r)
-    if not np.ravel(surplus)[0] < math.inf:
-        surplus = np.where(surplus < math.inf, surplus, np.sqrt(k) * np.sqrt(e)
-                           * math.sqrt(theta.alpha) / math.sqrt(theta.rho_r))
+    np.errstate(over="ignore"): 1 + I + surplus, ZF's K + surplus, with the
+    surplus sqrt(alpha k e / rho_r) taken by `_root`. Where an array's first
+    k fits, a later k so huge that alpha k overflows by itself keeps +inf:
+    that M is priced too high, never too low."""
+    surplus = _root(np.sqrt(theta.alpha * k * e / theta.rho_r), k, e,
+                    math.sqrt(theta.alpha), math.sqrt(theta.rho_r))
     return surplus - _headroom(0.0, k, interference, det)
 
 

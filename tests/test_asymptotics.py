@@ -12,7 +12,7 @@ from mimo_ee.asymptotics import (TrajectorySpec,
                                  trajectory_zeta)
 from mimo_ee.efficiency import evaluate_efficiency
 from mimo_ee.link import AntennaConfig, Detector, _rate_headroom
-from mimo_ee.relaxation import minimize_relaxed, optimal_m
+from mimo_ee.relaxation import minimize_relaxed
 from mimo_ee.report import SweepSpec, sweep_records
 from mimo_ee.units import PowerProfile, SystemParams
 
@@ -96,16 +96,13 @@ class TestTrajectoryPoint:
         assert 0.0 < pt.zeta < math.inf
 
     def test_overflowing_power_is_refused(self):
-        # at c = 1020 the relaxed power overflows at alpha = 20, so zeta
-        # would read 0.0, though M = 1 + I + surplus (1.5e154) has a double
-        spec = TrajectorySpec(c=1020.0, profile=_profile(alpha=20.0))
-        theta = spec.profile.at_rate(1030.0)
-        assert optimal_m(theta, 1030.0 / 1020.0, MRC) < math.inf
+        # at c = 1100 the relaxed MRC power overflows, since 2^(R/k) does
+        spec = TrajectorySpec(c=1100.0, profile=_profile(alpha=20.0))
         for solve in (trajectory_zeta, trajectory_point):
             with pytest.raises(ValueError, match=r"^the relaxed MRC power at "
-                               r"k = R/c = 1\.0098039215686274 overflows "
+                               r"k = R/c = 1\.0909090909090908 overflows "
                                r"double range$"):
-                solve(spec, 1030.0)
+                solve(spec, 1200.0)
         # a sweep row keeps the refusal in its error cell
         rows = sweep_records(SweepSpec(
             r_values=(1200.0,), theta_base=_profile(alpha=20.0),
@@ -114,6 +111,27 @@ class TestTrajectoryPoint:
         assert rows[0]["zeta_trajectory"] is None
         assert rows[0]["error"].startswith(
             "trajectory: the relaxed MRC power at k = R/c")
+
+    def test_power_past_its_overflowing_product_is_answered(self):
+        # at c = 1020 and alpha = 20 the product alpha rho_r k e overflows,
+        # but the power, 1.1e305, has a double. M's surplus, 1.5e154, is
+        # below M's ulp, so M - 1 - I rounds to 0 and evaluate_efficiency
+        # refuses the point: 50 digits of the same terms price it instead
+        import mpmath
+
+        spec = TrajectorySpec(c=1020.0, profile=_profile(alpha=20.0))
+        pt = trajectory_point(spec, 1030.0)
+        assert trajectory_zeta(spec, 1030.0) == pt.zeta
+        with mpmath.workdps(50):
+            k, e = mpmath.mpf(pt.k), mpmath.mpf(2) ** 1020 - 1
+            surplus = mpmath.sqrt(20 * k * e)
+            power = 2 * surplus + 2 + k + (k - 1) * e
+            zeta, m = 1030 / power, 1 + (k - 1) * e + surplus
+        assert abs(pt.zeta - float(zeta)) <= 1e-12 * zeta
+        assert abs(pt.m - float(m)) <= 1e-12 * m
+        with pytest.raises(ValueError, match="unachievable"):
+            evaluate_efficiency(AntennaConfig(M=pt.m, K=pt.k, relaxed=True),
+                                spec.profile.at_rate(1030.0), MRC)
 
     def test_tiny_per_user_rate_against_mpmath(self):
         # pow(2, c) - 1 cancels at so small a c; expm1(c ln2) does not
@@ -175,6 +193,28 @@ class TestTrajectoryLimit:
             trajectory_limit(spec)
         with pytest.raises(ValueError, match="overflows"):
             trajectory_limit(TrajectorySpec(c=2000.0, profile=_profile()))
+
+    def test_limit_past_an_overflowing_denominator(self):
+        # rho_r (2^c - 1) overflows at c = 1020, rho_r = 100, though 2^c
+        # and the limit have doubles
+        import mpmath
+
+        spec = TrajectorySpec(c=1020.0, profile=_profile(rho_r=100.0))
+        with mpmath.workdps(50):
+            want = 1020 / (1 + 100 * (mpmath.mpf(2) ** 1020 - 1))
+        assert trajectory_limit(spec) == 9.078301342709381e-307
+        assert abs(trajectory_limit(spec) - float(want)) <= 1e-15 * want
+        # a limit below the normal range is refused, naming it
+        for c, rho_r, rho_d in ((1023.9, 1e10, 1e308), (1.0, 1e307, 1.7e308)):
+            spec = TrajectorySpec(c=c, profile=_profile(rho_r=rho_r,
+                                                        rho_d=rho_d))
+            with pytest.raises(ValueError, match=r"^limit out of double "
+                               rf"range at c={c!r}: "):
+                trajectory_limit(spec)
+        # 2^c itself overflows from c = 1024 on
+        spec = TrajectorySpec(c=1024.0, profile=_profile(rho_r=1e-300))
+        with pytest.raises(ValueError, match="^2\\^c overflows"):
+            trajectory_limit(spec)
 
 
 class TestThresholds:

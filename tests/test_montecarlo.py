@@ -4,6 +4,7 @@ per-trial reference."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestDeterminism:
             res = _simulate(cfg)
         assert res.bound_rate == 6.0
         assert 7.5 < res.empirical_rate < 8.0
+        # at one user there is no interference, so d^2 / (d / gamma)
+        # overflows at gamma = 1e307: its log is a difference of logs, and
+        # MRC reads ZF's rate, the same receiver there
+        mrc, zf = (McConfig(m=8, k=1, gamma=1e307, detector=det, trials=2000)
+                   for det in (MRC, ZF))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, res_zf = _simulate(mrc), _simulate(zf)
+        assert math.isfinite(res.empirical_rate)
+        assert res.empirical_rate == pytest.approx(res_zf.empirical_rate,
+                                                   rel=1e-12)
+        assert res.bound_rate == res_zf.bound_rate
 
     def test_zf_simulates_wherever_its_closed_form_is_finite(self):
         # g / [W^-1]_kk overflows at gamma = 1e307 while the closed form is

@@ -278,6 +278,45 @@ class TestOptimalM:
             overflowed += not finite.all()
         assert overflowed > 20
 
+        # _objective_grid takes its root h / 2 by the same rule: the plain
+        # sqrt((alpha rho_r) k e) wherever that is finite, else the power
+        # within 8 ulps of 40 digits (h takes seven roundings there), or inf
+        # where it has no double
+        overflowed = answered = 0
+        for i in range(300):
+            theta = _theta(R=float(10.0 ** rng.uniform(-1, 4)),
+                           alpha=float(10.0 ** rng.uniform(0, 300)),
+                           rho_r=float(10.0 ** rng.uniform(-300, 300)),
+                           rho_d=float(10.0 ** rng.uniform(-4, 4)))
+            det = MRC if i % 2 else ZF
+            k0 = max(1.0, theta.R / float(rng.uniform(700.0, 1023.0)))
+            ks = k0 * np.geomspace(1.0, 1e3, 64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = np.expm1((theta.R * math.log(2.0)) / ks)
+                product = (theta.alpha * theta.rho_r) * ks * e
+                got = _objective_grid(ks, theta, det)
+                plain = (2.0 * np.sqrt(product) + theta.rho_r + theta.rho_s
+                         + ks * theta.rho_d
+                         + theta.rho_r * _interference(ks, e, det))
+            finite = product < math.inf
+            assert got[finite].tolist() == plain[finite].tolist(), theta
+            with mpmath.workdps(40):
+                for j in np.flatnonzero(~finite).tolist():
+                    mp_k, mp_e = mpmath.mpf(ks[j]), mpmath.mpf(e[j])
+                    interference = mp_k - 1 if det is ZF else (mp_k - 1) * mp_e
+                    want = (2 * mpmath.sqrt(theta.alpha * mpmath.mpf(theta.rho_r)
+                                            * mp_k * mp_e)
+                            + theta.rho_r + theta.rho_s + mp_k * theta.rho_d
+                            + theta.rho_r * interference)
+                    if want > sys.float_info.max:
+                        assert got[j] == math.inf
+                    else:
+                        assert got[j] < math.inf
+                        assert abs(got[j] - want) <= 8 * math.ulp(got[j])
+                        answered += 1
+            overflowed += not finite.all()
+        assert overflowed > 20 and answered > 20
+
     def test_rejects_free_antennas(self):
         with pytest.raises(ValueError, match="rho_r"):
             optimal_m(_theta(rho_r=0.0), 2.0, MRC)

@@ -798,26 +798,57 @@ class TestCli:
                                                                 m_star, None)
         assert row["zeta_star"] == pytest.approx(zeta, rel=1e-12)
 
+    def test_optimize_prices_the_relaxed_power_past_its_product(
+            self, capsys, tmp_path):
+        # alpha rho_r k e overflows at k = 1, but the relaxed power, 3.0e154,
+        # has a double; the row read "relaxed: power overflows double range
+        # over the whole k grid" and the run exited 3
+        cfg = {"normalized": {"alpha": 20.0, "rho_r": 1.0, "rho_d": 1.0,
+                              "rho_s": 1.0},
+               "optimize": {"R": 1020.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = _run(capsys, "optimize", "--config", str(path),
+                            "--format", "json", "--k-max", "1")
+        assert (rc, err) == (0, "")
+        rows = json.loads(out)
+        assert [row["detector"] for row in rows] == ["mrc", "zf"]
+        for row in rows:
+            assert row["error"] is None
+            assert row["zeta_relaxed"] == 3.4021808023611596e-152
+            assert row["zeta_star"] == 3.4021808023611062e-152
+            assert row["zeta_star"] <= row["zeta_relaxed"]
+
     def test_overflowing_trajectory_power_is_a_row_error(self, capsys,
                                                          tmp_path):
-        # at c = 1100 the relaxed MRC power overflows; the cell read 0.0
+        # the relaxed MRC power overflows at trajectory_c = 1100 and at
+        # c = 1020 above R = 17 340 (rho_r (k - 1) 2^c); the cell read 0.0.
+        # At c = 1020, R = 1030 only the product alpha rho_r k e overflows
         cfg = {"normalized": {"alpha": 20.0, "rho_r": 1.0, "rho_d": 1.0,
                               "rho_s": 1.0},
                "sweep": {"r_values": [1200.0], "detectors": ["mrc"],
                          "outputs": ["trajectory"], "trajectory_c": 1100.0},
-               "trajectory": {"c": 1020.0, "r_values": [1030.0]}}
+               "trajectory": {"c": 1020.0, "r_values": [1030.0, 20000.0]}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        for cmd, column in (("sweep", "zeta_trajectory"),
-                            ("trajectory", "zeta")):
+        rows = {}
+        for cmd in ("sweep", "trajectory"):
             rc, out, err = _run(capsys, cmd, "--config", str(path),
                                 "--format", "json")
             assert (rc, err) == (0, "")
-            (row,) = json.loads(out)
+            rows[cmd] = json.loads(out)
+        (swept,), (answered, refused) = rows["sweep"], rows["trajectory"]
+        for row, column in ((swept, "zeta_trajectory"), (refused, "zeta")):
             assert row[column] is None
             assert row["error"].startswith("trajectory: the relaxed MRC "
                                            "power at k = R/c = ")
             assert row["error"].endswith(" overflows double range")
+        spec = TrajectorySpec(c=1020.0, profile=PowerProfile(
+            alpha=20.0, rho_r=1.0, rho_d=1.0, rho_s=1.0))
+        assert answered["error"] is None
+        assert answered["zeta"] == trajectory_zeta(spec, 1030.0)
+        assert answered["zeta"] == 9.350650382990987e-303
+        assert answered["m"] == 1.1015276561656308e305
 
     def test_unmet_hypotheses_exit_3_but_emit_table(self, capsys, tmp_path):
         # R = 5 is below max(r1, r2) at this profile: thresholds are
