@@ -72,8 +72,9 @@ def trajectory_point(spec: TrajectorySpec, R: float) -> TrajectoryPoint:
 
 def trajectory_limit(spec: TrajectorySpec) -> float:
     """Efficiency that the constant-per-user-rate family approaches as R
-    grows, c / (rho_d + rho_r e) with e = 2^c - 1; where that denominator
-    overflows, (c / e) / (rho_d / e + rho_r), refused below the normal range."""
+    grows, c / (rho_d + rho_r e) with e = 2^c - 1, returned as formed where
+    that denominator is finite, a subnormal too. Where it overflows, the
+    limit is (c / e) / (rho_d / e + rho_r), refused below the normal range."""
     c, p = spec.c, spec.profile
     e = _exp2m1(c)
     den = p.rho_d + p.rho_r * e
@@ -82,8 +83,8 @@ def trajectory_limit(spec: TrajectorySpec) -> float:
     if e == math.inf:
         raise ValueError("2^c overflows double range; c is unrealistically large")
     limit = c / den if den < math.inf else (c / e) / (p.rho_d / e + p.rho_r)
-    if not (den < math.inf or limit >= sys.float_info.min):
-        raise ValueError(f"limit out of double range at c={c!r}: {limit!r}")
+    if den == math.inf and limit < sys.float_info.min:
+        raise ValueError(f"limit below the normal range at c={c!r}: {limit!r}")
     return limit
 
 

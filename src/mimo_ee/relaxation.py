@@ -60,12 +60,16 @@ def _require_inputs(theta: SystemParams, k: float = 1.0) -> None:
 
 
 def _root(root, k, e, scale, divisor=1.0):
-    """root, a sqrt(c k e) formed from its product c k e, on a float or an
-    ascending array; only where that product overflowed, sqrt(k) sqrt(e)
-    scale / divisor, with scale / divisor = sqrt(c). k e falls as k grows,
-    so that is at an array's first k or nowhere."""
-    return root if np.ravel(root)[0] < math.inf else np.where(
-        root < math.inf, root, np.sqrt(k) * np.sqrt(e) * scale / divisor)
+    """root, a sqrt(c k e) formed from its product c k e on an ascending
+    array, in place: only where that product overflowed to +inf, sqrt(k)
+    sqrt(e) scale / divisor, with scale / divisor = sqrt(c). A nan, an
+    overflowed c k times e = 0, stays for the caller. k e falls as k grows,
+    so only the first k is tested: where it fits, a later k so huge that
+    c k overflows by itself keeps +inf, priced too high, never too low."""
+    if root[0] == math.inf:
+        over = np.flatnonzero(root == math.inf)
+        root[over] = np.sqrt(k[over]) * np.sqrt(e[over]) * scale / divisor
+    return root
 
 
 def _objective_grid(k: np.ndarray, theta: SystemParams,
@@ -103,11 +107,12 @@ def _reduced_power(k: float, theta: SystemParams, det: Detector) -> float:
 
 
 def _m_cont(theta: SystemParams, k, e, interference, det: Detector):
-    """Real M minimizing the power at k, a float or an ascending array, under
-    np.errstate(over="ignore"): 1 + I + surplus, ZF's K + surplus, with the
-    surplus sqrt(alpha k e / rho_r) taken by `_root`. Where an array's first
-    k fits, a later k so huge that alpha k overflows by itself keeps +inf:
-    that M is priced too high, never too low."""
+    """Real M minimizing the power at each k of an ascending array, under
+    np.errstate(over="ignore", invalid="ignore"): 1 + I + surplus, ZF's
+    K + surplus, with the surplus sqrt(alpha k e / rho_r) taken by `_root`.
+    Where an array's first k fits, a later k so huge that alpha k overflows
+    by itself keeps +inf: that M is priced too high, never too low. Where
+    alpha k overflows and e = 0, M is nan."""
     surplus = _root(np.sqrt(theta.alpha * k * e / theta.rho_r), k, e,
                     math.sqrt(theta.alpha), math.sqrt(theta.rho_r))
     return surplus - _headroom(0.0, k, interference, det)
@@ -116,9 +121,9 @@ def _m_cont(theta: SystemParams, k, e, interference, det: Detector):
 def optimal_m(theta: SystemParams, k: float, det: Detector) -> float:
     """Closed-form antenna count minimizing the power at fixed user count k."""
     _require_inputs(theta, k)
-    e = _exp2m1(theta.R / k)
-    with np.errstate(over="ignore"):
-        return float(_m_cont(theta, k, e, _interference(k, e, det), det))
+    k, e = np.array([float(k)]), np.array([_exp2m1(theta.R / k)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_m_cont(theta, k, e, _interference(k, e, det), det)[0])
 
 
 def minimize_relaxed(theta: SystemParams, det: Detector, *,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,13 +205,18 @@ class TestTrajectoryLimit:
             want = 1020 / (1 + 100 * (mpmath.mpf(2) ** 1020 - 1))
         assert trajectory_limit(spec) == 9.078301342709381e-307
         assert abs(trajectory_limit(spec) - float(want)) <= 1e-15 * want
-        # a limit below the normal range is refused, naming it
+        # where the denominator overflowed, a limit below the normal range
+        # is refused, naming it
         for c, rho_r, rho_d in ((1023.9, 1e10, 1e308), (1.0, 1e307, 1.7e308)):
             spec = TrajectorySpec(c=c, profile=_profile(rho_r=rho_r,
                                                         rho_d=rho_d))
-            with pytest.raises(ValueError, match=r"^limit out of double "
+            with pytest.raises(ValueError, match=r"^limit below the normal "
                                rf"range at c={c!r}: "):
                 trajectory_limit(spec)
+        # where it is finite, c / den keeps its bytes, a subnormal too
+        spec = TrajectorySpec(c=1.0, profile=_profile(rho_r=1.0, rho_d=1.7e308))
+        assert trajectory_limit(spec) == 1.0 / (1.7e308 + 1.0)
+        assert 0.0 < trajectory_limit(spec) < sys.float_info.min
         # 2^c itself overflows from c = 1024 on
         spec = TrajectorySpec(c=1024.0, profile=_profile(rho_r=1e-300))
         with pytest.raises(ValueError, match="^2\\^c overflows"):

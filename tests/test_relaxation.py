@@ -183,6 +183,27 @@ class TestReducedPower:
             out = minimize_relaxed(theta, det, k_max=1e300)
             assert (out.k_star, out.objective) == (1.0, 1e10 + 2.0)
 
+    @pytest.mark.parametrize("k_max", [None, 1e308])
+    def test_an_underflowed_rate_past_an_overflowing_product(self, k_max):
+        # alpha rho_r overflows, so h's root is sqrt(k) sqrt(e) sqrt(alpha)
+        # sqrt(rho_r) at every k; from k = 1e304 on e = expm1(R ln2 / k) is
+        # 0 and the product inf * 0, which must price +inf, not the 0 of
+        # sqrt(k) sqrt(0): the true power there is about 1.67e190, and a 0
+        # root made k = 2.8e303 the false winner at 2.8e185
+        theta = _theta(R=1e-20, alpha=1e300, rho_r=1e100, rho_d=1e-118)
+        for det in (MRC, ZF):
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = _objective_grid(np.array([2.0, 1e304, 1.7e308]),
+                                       theta, det)
+            assert grid[0] < math.inf
+            assert grid[1:].tolist() == [math.inf, math.inf]
+            try:
+                out = minimize_relaxed(theta, det, k_max=k_max)
+            except InfeasibleError:
+                continue    # a refusal prices nothing; a low price is false
+            exact = self._decimal_objective(out.k_star, theta, det)
+            assert abs(out.objective - exact) <= 8 * math.ulp(exact), det
+
     @settings(max_examples=100)
     @given(det=st.sampled_from([MRC, ZF]), k=st.floats(1.0, 50.0),
            rate=st.floats(0.5, 60.0), alpha=st.floats(1.01, 4.0),
